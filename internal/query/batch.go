@@ -34,9 +34,9 @@ type Answer struct {
 // data). workers bounds the evaluation pool: 0 means GOMAXPROCS, and the
 // batch is split into contiguous stripes so results never contend.
 //
-// Each query costs one O(1) cube lookup — no table scan — so a 5,000-query
-// batch (the paper's Section 6.1 workload) is microseconds of work per
-// worker.
+// Each query costs a fixed number of reads — one locate, then one count and
+// one size per generation, whatever the SA domain — so a 5,000-query batch
+// (the paper's Section 6.1 workload) is microseconds of work per worker.
 func (mg *Marginals) AnswerBatch(qs []Query, p float64, workers int) []Answer {
 	return mg.AnswerBatchInto(nil, qs, p, workers)
 }
@@ -44,14 +44,17 @@ func (mg *Marginals) AnswerBatch(qs []Query, p float64, workers int) []Answer {
 // AnswerBatchInto is AnswerBatch writing into a reusable answer slice:
 // dst is truncated and regrown to len(qs), reallocating only when its
 // capacity is short. The serving layer's pooled binary path passes its
-// scratch here so a steady-state query batch allocates nothing.
+// scratch here; with one worker, a steady-state batch allocates nothing.
 func (mg *Marginals) AnswerBatchInto(dst []Answer, qs []Query, p float64, workers int) []Answer {
 	if cap(dst) < len(qs) {
 		dst = make([]Answer, len(qs))
 	} else {
 		dst = dst[:len(qs)]
 	}
-	if len(qs) == 0 {
+	if par.Clamp(len(qs), workers) == 1 {
+		for i := range qs {
+			dst[i] = mg.answerOne(qs[i], p)
+		}
 		return dst
 	}
 	par.Striped(len(qs), workers, func(_, lo, hi int) {
@@ -62,39 +65,27 @@ func (mg *Marginals) AnswerBatchInto(dst []Answer, qs []Query, p float64, worker
 	return dst
 }
 
-// answerOne computes a query's count and estimate from a single cube
-// lookup. Count followed by Estimate would resolve the cube three times
-// (Count, then Estimate's CountNA + Count) and sort the conditions each
-// time; one lookup yields the cell count, the SA-summed subset size, and
-// the Lemma 2(ii) estimate together. The results are identical to
-// Count/Estimate (the batch tests pin this).
+// answerOne is the Section 6.1 kernel behind every answering method: one
+// locate yields the NA cell, whose count of the queried SA value is O* and
+// whose size-plane entry is |S*|, and the Lemma 2(ii) estimate follows.
+// Count, Estimate and the batch methods all return its fields, so they
+// agree bit for bit — including the p = 1 estimate, which is the count
+// itself rather than a float inversion of it.
 func (mg *Marginals) answerOne(q Query, p float64) Answer {
-	ci, base, err := mg.locate(q.Conds)
+	k, err := mg.locate(q.Conds)
 	if err != nil {
 		return Answer{Err: err}
 	}
-	m := mg.Schema.SADomain()
-	if int(q.SA) >= m {
+	if int(q.SA) >= mg.m {
 		return Answer{Err: fmt.Errorf("query: SA value %d out of domain", q.SA)}
 	}
-	count := mg.cell(ci, base+int(q.SA))
+	count := mg.count(k*mg.m + int(q.SA))
 	if p == 1 {
 		return Answer{Count: count, Estimate: float64(count)}
 	}
-	size := 0
-	if len(mg.deltas) == 0 {
-		counts := mg.cubes[ci].counts
-		for sa := 0; sa < m; sa++ {
-			size += counts[base+sa]
-		}
-	} else {
-		for sa := 0; sa < m; sa++ {
-			size += mg.cell(ci, base+sa)
-		}
-	}
 	est := 0.0
-	if size > 0 {
-		est = float64(size) * reconstruct.MLEValue(count, size, p, m)
+	if size := mg.size(k); size > 0 {
+		est = float64(size) * reconstruct.MLEValue(count, size, p, mg.m)
 	}
 	return Answer{Count: count, Estimate: est}
 }

@@ -2,59 +2,92 @@ package query
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
 
+	"github.com/reconpriv/reconpriv/internal/dataset"
 	"github.com/reconpriv/reconpriv/internal/stats"
 )
 
 // TestAnswerBatchMatchesSequential checks that the pooled batch evaluator
-// returns exactly what per-query Count/Estimate return, for every worker
-// count.
+// returns exactly what per-query Count/Estimate return — same counts, same
+// estimate bits, same errors — for every worker count, with and without
+// perturbation to invert.
 func TestAnswerBatchMatchesSequential(t *testing.T) {
-	tab := testTable(t, 3, 3000)
+	full := testTable(t, 4, 3000)
+	// Leave C=c3 without records, so some subsets are empty.
+	tab := dataset.NewTable(full.Schema, full.NumRows())
+	for r := 0; r < full.NumRows(); r++ {
+		if row := full.Row(r); row[2] != 3 {
+			tab.MustAppendRow(row...)
+		}
+	}
 	mg, err := BuildMarginals(tab, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var qs []Query
-	for a := uint16(0); a < 3; a++ {
-		for b := uint16(0); b < 2; b++ {
-			for sa := uint16(0); sa < 5; sa++ {
+	for sa := uint16(0); sa < 5; sa++ {
+		for a := uint16(0); a < 3; a++ {
+			qs = append(qs, Query{Conds: []Cond{{Attr: 0, Value: a}}, SA: sa})
+			for b := uint16(0); b < 2; b++ {
 				qs = append(qs, Query{Conds: []Cond{{Attr: 0, Value: a}, {Attr: 1, Value: b}}, SA: sa})
 			}
 		}
+		qs = append(qs, Query{Conds: []Cond{{Attr: 2, Value: 3}, {Attr: 1, Value: 0}}, SA: sa})
 	}
 	// A per-query failure must not poison the batch.
 	qs = append(qs, Query{Conds: []Cond{{Attr: 0, Value: 99}}, SA: 0})
 	qs = append(qs, Query{SA: 0}) // no conditions
+	// An out-of-domain SA is an error even where the subset is empty.
+	qs = append(qs, Query{Conds: []Cond{{Attr: 2, Value: 3}}, SA: 99})
 
-	const p = 0.5
-	for _, workers := range []int{1, 2, 3, 8, 64} {
-		got := mg.AnswerBatch(qs, p, workers)
-		if len(got) != len(qs) {
-			t.Fatalf("workers=%d: %d answers for %d queries", workers, len(got), len(qs))
-		}
-		for i, q := range qs {
-			count, err := mg.Count(q)
-			if err != nil {
-				if got[i].Err == nil {
-					t.Fatalf("workers=%d query %d: expected error, got none", workers, i)
+	for _, p := range []float64{0.5, 1} {
+		for _, workers := range []int{1, 2, 3, 8, 64} {
+			got := mg.AnswerBatch(qs, p, workers)
+			if len(got) != len(qs) {
+				t.Fatalf("p=%v workers=%d: %d answers for %d queries", p, workers, len(got), len(qs))
+			}
+			for i, q := range qs {
+				count, cerr := mg.Count(q)
+				est, eerr := mg.Estimate(q, p)
+				if cerr != nil || eerr != nil || got[i].Err != nil {
+					if cerr == nil || eerr == nil || got[i].Err == nil ||
+						cerr.Error() != got[i].Err.Error() || eerr.Error() != got[i].Err.Error() {
+						t.Fatalf("p=%v workers=%d query %+v: errors Count %v, Estimate %v, batch %v",
+							p, workers, q, cerr, eerr, got[i].Err)
+					}
+					continue
 				}
-				continue
+				if got[i].Count != count {
+					t.Fatalf("p=%v workers=%d query %d: count %d, want %d", p, workers, i, got[i].Count, count)
+				}
+				if math.Float64bits(got[i].Estimate) != math.Float64bits(est) {
+					t.Fatalf("p=%v workers=%d query %d: estimate %v, want %v", p, workers, i, got[i].Estimate, est)
+				}
 			}
-			if got[i].Err != nil {
-				t.Fatalf("workers=%d query %d: unexpected error %v", workers, i, got[i].Err)
-			}
-			if got[i].Count != count {
-				t.Fatalf("workers=%d query %d: count %d, want %d", workers, i, got[i].Count, count)
-			}
-			est, err := mg.Estimate(q, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got[i].Estimate != est {
-				t.Fatalf("workers=%d query %d: estimate %v, want %v", workers, i, got[i].Estimate, est)
-			}
+		}
+	}
+}
+
+// TestAnswerBatchIntoAllocs pins the steady state the binary serving path
+// relies on: one worker, a reused answer slice, and no allocation per batch,
+// on a flat and on a stacked index.
+func TestAnswerBatchIntoAllocs(t *testing.T) {
+	stacked, flat := buildStacked(t, 21, 2000, 3, 3)
+	rng := rand.New(rand.NewSource(22))
+	qs := make([]Query, 500)
+	for i := range qs {
+		qs[i] = randomQuery(rng)
+	}
+	for name, mg := range map[string]*Marginals{"flat": flat, "stacked": stacked} {
+		dst := mg.AnswerBatchInto(nil, qs, 0.5, 1)
+		allocs := testing.AllocsPerRun(50, func() {
+			dst = mg.AnswerBatchInto(dst, qs, 0.5, 1)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: AnswerBatchInto allocates %v times per batch, want 0", name, allocs)
 		}
 	}
 }

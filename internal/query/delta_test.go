@@ -74,13 +74,7 @@ func TestStackedMarginalsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	const p = 0.7
 	for trial := 0; trial < 2000; trial++ {
-		d := 1 + rng.Intn(3)
-		attrs := rng.Perm(3)[:d]
-		q := Query{SA: uint16(rng.Intn(5))}
-		doms := []int{3, 2, 4}
-		for _, a := range attrs {
-			q.Conds = append(q.Conds, Cond{Attr: a, Value: uint16(rng.Intn(doms[a]))})
-		}
+		q := randomQuery(rng)
 		want, err := flat.Count(q)
 		if err != nil {
 			t.Fatal(err)
@@ -112,26 +106,38 @@ func TestStackedMarginalsBitIdentical(t *testing.T) {
 		}
 	}
 
-	// The batch path takes a generation-aware fast path when the stack is
-	// flat; both shapes must agree with the scalar path at any worker width.
-	var qs []Query
-	for trial := 0; trial < 300; trial++ {
-		q := Query{SA: uint16(rng.Intn(5)), Conds: []Cond{{Attr: rng.Intn(3), Value: 0}}}
-		qs = append(qs, q)
+	// The batch path must agree with the flat index on the stack and on its
+	// compaction, at any worker width.
+	qs := make([]Query, 300)
+	for i := range qs {
+		qs[i] = randomQuery(rng)
 	}
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		sa := stacked.AnswerBatch(qs, p, workers)
 		fa := flat.AnswerBatch(qs, p, workers)
-		for i := range sa {
-			if sa[i].Err != nil || fa[i].Err != nil {
-				t.Fatalf("workers=%d query %d errored: %v / %v", workers, i, sa[i].Err, fa[i].Err)
-			}
-			if sa[i].Count != fa[i].Count || math.Float64bits(sa[i].Estimate) != math.Float64bits(fa[i].Estimate) {
-				t.Fatalf("workers=%d query %d: stacked (%d, %v) vs flat (%d, %v)",
-					workers, i, sa[i].Count, sa[i].Estimate, fa[i].Count, fa[i].Estimate)
+		for name, m := range map[string]*Marginals{"stacked": stacked, "compacted": compacted} {
+			ma := m.AnswerBatch(qs, p, workers)
+			for i := range ma {
+				if ma[i].Err != nil || fa[i].Err != nil {
+					t.Fatalf("workers=%d query %d errored: %s %v / flat %v", workers, i, name, ma[i].Err, fa[i].Err)
+				}
+				if ma[i].Count != fa[i].Count || math.Float64bits(ma[i].Estimate) != math.Float64bits(fa[i].Estimate) {
+					t.Fatalf("workers=%d query %+v: %s (%d, %v) vs flat (%d, %v)",
+						workers, qs[i], name, ma[i].Count, ma[i].Estimate, fa[i].Count, fa[i].Estimate)
+				}
 			}
 		}
 	}
+}
+
+// randomQuery draws a query over testTable's schema: one to three distinct
+// public attributes in random order, with uniform values and SA.
+func randomQuery(rng *rand.Rand) Query {
+	doms := []int{3, 2, 4}
+	q := Query{SA: uint16(rng.Intn(5))}
+	for _, a := range rng.Perm(3)[:1+rng.Intn(3)] {
+		q.Conds = append(q.Conds, Cond{Attr: a, Value: uint16(rng.Intn(doms[a]))})
+	}
+	return q
 }
 
 // TestWithDeltaFlattensChains pins the representation: chaining WithDelta

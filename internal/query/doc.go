@@ -10,10 +10,12 @@
 // where F' is the Lemma 2(ii) MLE from internal/reconstruct.
 //
 // Queries are answered from precomputed low-dimensional marginal cubes
-// (every ≤MaxDim-attribute NA subset × SA), so evaluation is O(1) per
-// query instead of a table scan — the trick that keeps the 500K-record
-// CENSUS sweeps tractable and lets the publication server answer 5,000-query
-// batches in milliseconds. Build a Marginals once per table
+// (every ≤MaxDim-attribute NA subset × SA) plus a size plane holding each
+// cube cell's SA-summed count, so evaluation is O(1) per query — a rank
+// computation and two reads, whatever the SA domain — instead of a table
+// scan: the trick that keeps the 500K-record CENSUS sweeps tractable and
+// lets the publication server answer 5,000-query batches in a fraction of a
+// millisecond. Build a Marginals once per table
 // (BuildMarginals) or, far cheaper when |G| ≪ |D|, per published group set
 // (BuildMarginalsFromGroups); the result is immutable and safe to share
 // across any number of concurrent readers. AnswerBatch is the pooled batch
@@ -22,8 +24,9 @@
 // The *Parallel build variants distribute whole cubes — and, when workers
 // outnumber cubes, per-cube row shards with privately accumulated partial
 // counts — across a worker pool; counts are integer sums, so the index is
-// bit-identical at any width. Cube keys pack attribute subsets into one
-// uint64 (at most 8 conditions over at most 254 attributes); schemas or
-// depths beyond that fail construction with a typed *IndexLimitError
-// instead of silently aliasing cubes.
+// bit-identical at any width. Cubes are addressed by the combinadic rank of
+// the conditions' public-attribute positions and laid out in packed
+// subset-key order, which is the same order; the index takes at most 8
+// conditions over at most 254 attributes, and schemas or depths beyond that
+// fail construction with a typed *IndexLimitError.
 package query

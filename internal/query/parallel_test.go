@@ -10,23 +10,21 @@ import (
 	"github.com/reconpriv/reconpriv/internal/dataset"
 )
 
-// requireSameMarginals asserts two engines hold identical cubes.
+// requireSameMarginals asserts two engines hold identical cubes and planes.
 func requireSameMarginals(t *testing.T, want, got *Marginals, workers int) {
 	t.Helper()
 	if got.Total() != want.Total() || got.MaxDim != want.MaxDim {
 		t.Fatalf("workers=%d: total/maxdim = %d/%d, want %d/%d",
 			workers, got.Total(), got.MaxDim, want.Total(), want.MaxDim)
 	}
-	if len(got.cubes) != len(want.cubes) {
-		t.Fatalf("workers=%d: %d cubes, want %d", workers, len(got.cubes), len(want.cubes))
+	if !reflect.DeepEqual(got.cubes, want.cubes) {
+		t.Fatalf("workers=%d: cube layouts differ", workers)
 	}
 	for i := range want.cubes {
-		w, g := &want.cubes[i], &got.cubes[i]
-		if !reflect.DeepEqual(w.attrs, g.attrs) || !reflect.DeepEqual(w.dims, g.dims) {
-			t.Fatalf("workers=%d: cube shape differs for attrs %v", workers, w.attrs)
-		}
-		if !reflect.DeepEqual(w.counts, g.counts) {
-			t.Fatalf("workers=%d: cube counts differ for attrs %v", workers, w.attrs)
+		wc, ws := want.planes(&want.cubes[i])
+		gc, gs := got.planes(&got.cubes[i])
+		if !reflect.DeepEqual(wc, gc) || !reflect.DeepEqual(ws, gs) {
+			t.Fatalf("workers=%d: cube planes differ for attrs %v", workers, want.cubes[i].attrs)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/reconpriv/reconpriv/internal/dataset"
 	"github.com/reconpriv/reconpriv/internal/par"
@@ -40,62 +39,67 @@ func (q Query) Format(s *dataset.Schema) string {
 }
 
 // marginal is one cube: counts over the cross product of a sorted
-// public-attribute subset and SA. counts is a sub-slice of the owning
-// Marginals' flat arena, so consecutive cubes are consecutive in memory.
+// public-attribute subset and SA. Its NA cells are entries [cell0,
+// cell0+cells) of the owning Marginals' size plane and its counts entries
+// [cell0·m, (cell0+cells)·m) of the counts arena, so one NA cell number
+// addresses both planes of every generation.
 type marginal struct {
-	attrs  []int // sorted NA attribute indices
-	dims   []int // domain sizes aligned with attrs
-	counts []int // flat row-major over (attrs..., SA); view into Marginals.arena
+	attrs []int // sorted NA attribute indices
+	cell0 int   // first NA cell in the size plane
+	cells int   // NA cells: the product of the attributes' domains
 }
 
 // Marginals answers conjunctive counts over a fixed schema from precomputed
-// cubes of every public-attribute subset up to MaxDim attributes. Cube
-// storage is flattened: all cubes live in one contiguous counts arena
-// (ordered by packed subset key), with a side index from subset key to cube.
-// Sequential batch scans therefore walk one allocation instead of chasing
-// per-cube pointers, and a whole index is two large allocations however many
-// subsets it covers.
+// cubes of every public-attribute subset up to MaxDim attributes. Storage is
+// two flat planes over the NA cells of all cubes, back to back: the counts
+// arena holds each cell's m SA counts, and the size plane holds their sum
+// |S*|. A query resolves its conditions to one NA cell by arithmetic (see
+// locate), then reads one count and one size per generation, whatever m is.
 type Marginals struct {
 	Schema *dataset.Schema
 	MaxDim int
-	cubes  []marginal       // sorted by packed subset key
-	index  map[uint64]int32 // packed subset key -> index into cubes
-	arena  []int            // every cube's counts, back to back
+	cubes  []marginal // in rank order, which is packed subset-key order (see newMarginals)
+	arena  []int      // counts: NA cell k's SA histogram is arena[k·m : (k+1)·m]
+	sizes  []int      // size plane: sizes[k] is the sum of NA cell k's counts
 	total  int
+	m      int // SA domain size
+
+	// Dense cube addressing, a pure function of the schema shape and depth.
+	addr  []attrAddr           // per schema attribute
+	first [indexMaxDim + 1]int // first[d]: rank of the first d-attribute cube
 
 	// deltas is the LSM-style generation stack: small immutable indexes over
 	// inserted batches only, appended by WithDelta and folded back into one
 	// arena by Compact. Every generation is built from the same schema and
-	// depth, so all arenas share one layout and a cell is the same (cube,
-	// offset) in each — read paths sum the stack positionally. A Marginals
-	// with a non-empty stack is still immutable: WithDelta copies, never
-	// mutates, which is what lets the serving layer swap stacks behind an
-	// atomic pointer while readers hold the old one.
+	// depth, so all share one layout and an NA cell is the same number in
+	// each — read paths sum the stack positionally. A Marginals with a
+	// non-empty stack is still immutable: WithDelta copies, never mutates,
+	// which is what lets the serving layer swap stacks behind an atomic
+	// pointer while readers hold the old one.
 	deltas []*Marginals
 }
 
-// subsetKey packs a sorted attribute subset into a uint64: one byte per
-// attribute index, 0xFF padding unused slots. The packing holds at most 8
-// indices of at most 254 each — newMarginals rejects schemas or depths
-// beyond that with an *IndexLimitError* instead of silently aliasing keys.
-func subsetKey(attrs []int) uint64 {
-	var k uint64 = ^uint64(0)
-	for i, a := range attrs {
-		shift := uint(8 * i)
-		k = (k &^ (uint64(0xFF) << shift)) | uint64(a)<<shift
-	}
-	return k
+// attrAddr is one schema attribute's part in the dense cube addressing: its
+// domain size and, for a public attribute at NA position p, the combinadic
+// term C(p, i+1) it adds to a subset's rank as the subset's i-th smallest
+// attribute. The SA attribute has no cube; its terms are -1.
+type attrAddr struct {
+	dom  int
+	term [indexMaxDim]int
 }
 
-// subsetKeyMaxAttrs and subsetKeyMaxDim are the packing limits of subsetKey:
-// 8 one-byte slots, with 0xFF reserved as the empty-slot marker.
+// indexMaxAttrs and indexMaxDim bound the schemas and depths an index
+// accepts. The cube order every checksum folds is the packed subset-key
+// order — one byte per attribute index, 0xFF padding the unused of eight
+// slots, compared as an integer with slot 0 least significant — which needs
+// attribute indices below 255 and at most eight attributes per subset.
 const (
-	subsetKeyMaxAttrs = 255
-	subsetKeyMaxDim   = 8
+	indexMaxAttrs = 255
+	indexMaxDim   = 8
 )
 
-// IndexLimitError reports a schema or index depth that cannot be represented
-// by the packed cube keys: more attributes than fit a byte slot, or more
+// IndexLimitError reports a schema or index depth beyond the index's
+// bounds: more attributes than fit a byte slot of the cube order, or more
 // conditions per query than there are slots.
 type IndexLimitError struct {
 	Attrs  int // schema attribute count (0 if the limit hit was MaxDim)
@@ -104,73 +108,101 @@ type IndexLimitError struct {
 
 func (e *IndexLimitError) Error() string {
 	if e.Attrs != 0 {
-		return fmt.Sprintf("query: schema has %d attributes; the marginal index supports at most %d", e.Attrs, subsetKeyMaxAttrs-1)
+		return fmt.Sprintf("query: schema has %d attributes; the marginal index supports at most %d", e.Attrs, indexMaxAttrs-1)
 	}
-	return fmt.Sprintf("query: index depth %d exceeds the maximum %d", e.MaxDim, subsetKeyMaxDim)
+	return fmt.Sprintf("query: index depth %d exceeds the maximum %d", e.MaxDim, indexMaxDim)
 }
 
-// newMarginals allocates the cube structure for every NA subset of size 1..maxDim.
+// binom returns the binomial coefficient C(n, k), 0 when k > n.
+func binom(n, k int) int {
+	if k > n {
+		return 0
+	}
+	c := 1
+	for i := 1; i <= k; i++ {
+		c = c * (n - k + i) / i
+	}
+	return c
+}
+
+// newMarginals allocates the cube structure for every NA subset of size
+// 1..maxDim, with zeroed planes.
+//
+// Cubes are placed at their combinadic rank. A d-subset whose attributes sit
+// at NA positions p0 < … < p(d-1) has rank first[d] + Σ C(pi, i+1): the sum is
+// its colex rank among the C(n, d) d-subsets, and first[d] counts the cubes
+// of more than d attributes. That is exactly the packed subset-key order,
+// which puts larger subsets first (their top used slot is below the 0xFF
+// padding) and, within one size, compares the largest attribute first —
+// colex order. So the arena layout, and every checksum over it, is the
+// key-sorted one, and locate finds a cube with no search.
 func newMarginals(schema *dataset.Schema, maxDim int) (*Marginals, error) {
 	if maxDim < 1 {
 		return nil, fmt.Errorf("query: maxDim must be at least 1, got %d", maxDim)
 	}
-	if schema.NumAttrs() >= subsetKeyMaxAttrs {
+	if schema.NumAttrs() >= indexMaxAttrs {
 		return nil, &IndexLimitError{Attrs: schema.NumAttrs()}
 	}
 	na := schema.NAIndices()
 	if maxDim > len(na) {
 		maxDim = len(na)
 	}
-	if maxDim > subsetKeyMaxDim {
+	if maxDim > indexMaxDim {
 		return nil, &IndexLimitError{MaxDim: maxDim}
 	}
-	mg := &Marginals{Schema: schema, MaxDim: maxDim}
 	m := schema.SADomain()
-	var build func(start int, cur []int)
-	build = func(start int, cur []int) {
-		if len(cur) > 0 {
-			attrs := append([]int(nil), cur...)
-			dims := make([]int, len(attrs))
-			for i, a := range attrs {
-				dims[i] = schema.Attrs[a].Domain()
-			}
-			mg.cubes = append(mg.cubes, marginal{attrs: attrs, dims: dims})
+	mg := &Marginals{Schema: schema, MaxDim: maxDim, m: m, addr: make([]attrAddr, schema.NumAttrs())}
+	for a := range mg.addr {
+		mg.addr[a].dom = schema.Attrs[a].Domain()
+		for i := range mg.addr[a].term {
+			mg.addr[a].term[i] = -1
 		}
-		if len(cur) == maxDim {
+	}
+	for p, a := range na {
+		for i := 0; i < maxDim; i++ {
+			mg.addr[a].term[i] = binom(p, i+1)
+		}
+	}
+	slots := 0 // attrs entries over all cubes
+	for d := maxDim; d >= 1; d-- {
+		if d < maxDim {
+			mg.first[d] = mg.first[d+1] + binom(len(na), d+1)
+		}
+		slots += d * binom(len(na), d)
+	}
+	mg.cubes = make([]marginal, mg.first[1]+len(na))
+	back := make([]int, slots)
+	var cur [indexMaxDim]int
+	// place visits every subset extending cur[:d] with NA positions from
+	// start on; colex is cur[:d]'s colex rank.
+	var place func(start, d, colex int)
+	place = func(start, d, colex int) {
+		if d > 0 {
+			cube := &mg.cubes[mg.first[d]+colex]
+			cube.attrs, back = back[:d:d], back[d:]
+			copy(cube.attrs, cur[:d])
+		}
+		if d == maxDim {
 			return
 		}
-		for i := start; i < len(na); i++ {
-			build(i+1, append(cur, na[i]))
+		for p := start; p < len(na); p++ {
+			cur[d] = na[p]
+			place(p+1, d+1, colex+mg.addr[na[p]].term[d])
 		}
 	}
-	build(0, nil)
-	// The recursion emits subsets in lexicographic attribute order, which is
-	// not packed-key order; sort so the arena layout and cubeList order are
-	// the deterministic key order every fingerprint depends on.
-	sort.Slice(mg.cubes, func(i, j int) bool {
-		return subsetKey(mg.cubes[i].attrs) < subsetKey(mg.cubes[j].attrs)
-	})
-	total := 0
-	for i := range mg.cubes {
-		size := m
-		for _, d := range mg.cubes[i].dims {
-			size *= d
-		}
-		total += size
-	}
-	mg.arena = make([]int, total)
-	mg.index = make(map[uint64]int32, len(mg.cubes))
-	off := 0
+	place(0, 0, 0)
+	cells := 0
 	for i := range mg.cubes {
 		cube := &mg.cubes[i]
-		size := m
-		for _, d := range cube.dims {
-			size *= d
+		cube.cell0, cube.cells = cells, 1
+		for _, a := range cube.attrs {
+			cube.cells *= mg.addr[a].dom
 		}
-		cube.counts = mg.arena[off : off+size : off+size]
-		off += size
-		mg.index[subsetKey(cube.attrs)] = int32(i)
+		cells += cube.cells
 	}
+	// One allocation holds both planes.
+	planes := make([]int, cells*(m+1))
+	mg.arena, mg.sizes = planes[:cells*m:cells*m], planes[cells*m:]
 	return mg, nil
 }
 
@@ -182,25 +214,26 @@ func BuildMarginals(t *dataset.Table, maxDim int) (*Marginals, error) {
 // BuildMarginalsParallel is BuildMarginals with the cube fill distributed
 // across up to `workers` goroutines (0 = GOMAXPROCS): whole cubes are dealt
 // to workers first and, when there are more workers than cubes, each cube's
-// row range is sharded into per-shard partial counts summed after the join.
+// row range is sharded into per-shard partial planes summed after the join.
 // Counts are integer sums, so the result is identical at any worker count.
 func BuildMarginalsParallel(t *dataset.Table, maxDim, workers int) (*Marginals, error) {
 	mg, err := newMarginals(t.Schema, maxDim)
 	if err != nil {
 		return nil, err
 	}
-	m := t.Schema.SADomain()
+	m := mg.m
 	n := t.NumRows()
 	mg.total = n
-	sa := t.Schema.SA
-	fillCubes(mg.cubeList(), n, workers, func(cube *marginal, counts []int, lo, hi int) {
+	sa, addr := t.Schema.SA, mg.addr
+	mg.fill(n, workers, func(cube *marginal, counts, sizes []int, lo, hi int) {
 		for r := lo; r < hi; r++ {
 			row := t.Row(r)
-			idx := 0
-			for i, a := range cube.attrs {
-				idx = idx*cube.dims[i] + int(row[a])
+			cell := 0
+			for _, a := range cube.attrs {
+				cell = cell*addr[a].dom + int(row[a])
 			}
-			counts[idx*m+int(row[sa])]++
+			counts[cell*m+int(row[sa])]++
+			sizes[cell]++
 		}
 	})
 	return mg, nil
@@ -222,56 +255,57 @@ func BuildMarginalsFromGroupsParallel(gs *dataset.GroupSet, maxDim, workers int)
 	if err != nil {
 		return nil, err
 	}
-	m := gs.Schema.SADomain()
+	m := mg.m
 	na := gs.NAIndices()
 	pos := make([]int, gs.Schema.NumAttrs()) // schema attr -> key position
 	for i, a := range na {
 		pos[a] = i
 	}
 	mg.total = gs.Total()
-	fillCubes(mg.cubeList(), gs.NumGroups(), workers, func(cube *marginal, counts []int, lo, hi int) {
+	addr := mg.addr
+	mg.fill(gs.NumGroups(), workers, func(cube *marginal, counts, sizes []int, lo, hi int) {
 		for gi := lo; gi < hi; gi++ {
 			g := &gs.Groups[gi]
-			base := 0
-			for i, a := range cube.attrs {
-				base = base*cube.dims[i] + int(g.Key[pos[a]])
+			cell := 0
+			for _, a := range cube.attrs {
+				cell = cell*addr[a].dom + int(g.Key[pos[a]])
 			}
-			base *= m
+			base, size := cell*m, 0
 			for sa, c := range g.SACounts {
 				if c != 0 {
 					counts[base+sa] += c
+					size += c
 				}
 			}
+			sizes[cell] += size
 		}
 	})
 	return mg, nil
 }
 
-// cubeList returns the cubes in their deterministic arena order (sorted by
-// packed subset key) so the parallel fill deals out the same work items on
-// every build.
-func (mg *Marginals) cubeList() []*marginal {
-	out := make([]*marginal, len(mg.cubes))
-	for i := range mg.cubes {
-		out[i] = &mg.cubes[i]
-	}
-	return out
+// planes returns a cube's views of the counts arena and the size plane.
+func (mg *Marginals) planes(cube *marginal) (counts, sizes []int) {
+	lo, hi := cube.cell0, cube.cell0+cube.cells
+	return mg.arena[lo*mg.m : hi*mg.m], mg.sizes[lo:hi]
 }
 
-// fillCubes distributes the cube fill across workers. fill must accumulate
-// source items [lo, hi) into counts (either a cube's own counts or a
-// private partial). With workers ≤ cubes, each cube is filled whole by one
+// fill distributes the cube fill across workers, dealing cubes in their
+// deterministic arena order. fill must accumulate source items [lo, hi) of
+// one cube into counts and sizes: either the cube's own planes or a private
+// partial pair. With workers ≤ cubes, each cube is filled whole by one
 // worker; with more workers than cubes, every cube's item range is split
-// into shards with private partial counts that are summed — in shard order,
+// into shards with private partials that are summed — in shard order,
 // though integer sums make any order equivalent — after the join.
-func fillCubes(cubes []*marginal, n, workers int, fill func(cube *marginal, counts []int, lo, hi int)) {
+func (mg *Marginals) fill(n, workers int, fill func(cube *marginal, counts, sizes []int, lo, hi int)) {
+	cubes := mg.cubes
 	if len(cubes) == 0 {
 		return
 	}
 	workers = par.Clamp(len(cubes)*max(n, 1), workers)
 	if workers <= 1 {
-		for _, cube := range cubes {
-			fill(cube, cube.counts, 0, n)
+		for i := range cubes {
+			counts, sizes := mg.planes(&cubes[i])
+			fill(&cubes[i], counts, sizes, 0, n)
 		}
 		return
 	}
@@ -285,11 +319,12 @@ func fillCubes(cubes []*marginal, n, workers int, fill func(cube *marginal, coun
 	type item struct {
 		cube    *marginal
 		lo, hi  int
-		partial []int // nil: fill the cube's counts directly
+		partial []int // nil: fill the cube's planes; else cells·m counts, then cells sizes
 	}
 	items := make([]item, 0, len(cubes)*shards)
 	stripe := (n + shards - 1) / shards
-	for _, cube := range cubes {
+	for c := range cubes {
+		cube := &cubes[c]
 		for s := 0; s < shards; s++ {
 			lo := s * stripe
 			hi := min(lo+stripe, n)
@@ -298,7 +333,7 @@ func fillCubes(cubes []*marginal, n, workers int, fill func(cube *marginal, coun
 			}
 			it := item{cube: cube, lo: lo, hi: hi}
 			if shards > 1 {
-				it.partial = make([]int, len(cube.counts))
+				it.partial = make([]int, cube.cells*(mg.m+1))
 			}
 			items = append(items, it)
 		}
@@ -306,29 +341,37 @@ func fillCubes(cubes []*marginal, n, workers int, fill func(cube *marginal, coun
 	par.Striped(len(items), workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			it := &items[i]
-			counts := it.partial
-			if counts == nil {
-				counts = it.cube.counts
+			counts, sizes := mg.planes(it.cube)
+			if it.partial != nil {
+				k := it.cube.cells * mg.m
+				counts, sizes = it.partial[:k], it.partial[k:]
 			}
-			fill(it.cube, counts, it.lo, it.hi)
+			fill(it.cube, counts, sizes, it.lo, it.hi)
 		}
 	})
 	if shards > 1 {
 		par.Striped(len(cubes), workers, func(_, lo, hi int) {
 			for c := lo; c < hi; c++ {
-				cube := cubes[c]
+				cube := &cubes[c]
+				counts, sizes := mg.planes(cube)
 				for i := range items {
-					if items[i].cube != cube || items[i].partial == nil {
-						continue
-					}
-					for j, v := range items[i].partial {
-						if v != 0 {
-							cube.counts[j] += v
-						}
+					if it := &items[i]; it.cube == cube {
+						k := cube.cells * mg.m
+						addInto(counts, it.partial[:k])
+						addInto(sizes, it.partial[k:])
 					}
 				}
 			}
 		})
+	}
+}
+
+// addInto adds src into dst positionally, skipping zeros.
+func addInto(dst, src []int) {
+	for i, v := range src {
+		if v != 0 {
+			dst[i] += v
+		}
 	}
 }
 
@@ -351,7 +394,9 @@ func (mg *Marginals) Generations() int { return 1 + len(mg.deltas) }
 // mg's generations followed by the delta's, with mg itself untouched. The
 // delta must have been built over the same schema shape and depth (same
 // SA domain, same cube layout) — typically by BuildMarginalsFromGroups over
-// only the inserted records — so the arenas are positionally compatible.
+// only the inserted records — so the planes are positionally compatible.
+// Each generation brings its own size plane, so |S*| stays one read per
+// generation on the stack.
 func (mg *Marginals) WithDelta(delta *Marginals) (*Marginals, error) {
 	if err := mg.compatible(delta); err != nil {
 		return nil, err
@@ -375,15 +420,15 @@ func (mg *Marginals) base() *Marginals {
 	return &out
 }
 
-// compatible reports whether two indexes share one arena layout: same depth,
-// same SA domain, same cube count and arena size. Layout is a pure function
-// of (schema shape, maxDim) in newMarginals, so these checks pin positional
+// compatible reports whether two indexes share one layout: same depth, same
+// SA domain, same cube count and arena size. Layout is a pure function of
+// (schema shape, maxDim) in newMarginals, so these checks pin positional
 // compatibility without walking every cube.
 func (mg *Marginals) compatible(d *Marginals) error {
 	if d == nil {
 		return fmt.Errorf("query: nil delta index")
 	}
-	if mg.MaxDim != d.MaxDim || mg.Schema.SADomain() != d.Schema.SADomain() ||
+	if mg.MaxDim != d.MaxDim || mg.m != d.m ||
 		len(mg.cubes) != len(d.cubes) || len(mg.arena) != len(d.arena) {
 		return fmt.Errorf("query: delta index layout mismatch: depth %d/%d, %d/%d cubes, arena %d/%d",
 			mg.MaxDim, d.MaxDim, len(mg.cubes), len(d.cubes), len(mg.arena), len(d.arena))
@@ -391,11 +436,11 @@ func (mg *Marginals) compatible(d *Marginals) error {
 	return nil
 }
 
-// Compact folds the generation stack into one flat index: a fresh arena
-// holding the positional sum of every generation's counts. The sum is
-// integer addition over identical layouts, so a compacted index answers —
-// and checksums — bit-identically to the stack it replaces, whatever order
-// deltas arrived in. A flat index compacts to itself.
+// Compact folds the generation stack into one flat index: fresh planes
+// holding the positional sum of every generation's counts and sizes. The
+// sum is integer addition over identical layouts, so a compacted index
+// answers — and checksums — bit-identically to the stack it replaces,
+// whatever order deltas arrived in. A flat index compacts to itself.
 func (mg *Marginals) Compact() *Marginals {
 	if len(mg.deltas) == 0 {
 		return mg
@@ -403,33 +448,21 @@ func (mg *Marginals) Compact() *Marginals {
 	out := *mg
 	out.deltas = nil
 	out.total = mg.Total()
-	out.arena = make([]int, len(mg.arena))
+	k := len(mg.arena)
+	planes := make([]int, k+len(mg.sizes))
+	out.arena, out.sizes = planes[:k:k], planes[k:]
 	copy(out.arena, mg.arena)
+	copy(out.sizes, mg.sizes)
 	for _, d := range mg.deltas {
-		for i, v := range d.arena {
-			if v != 0 {
-				out.arena[i] += v
-			}
-		}
-	}
-	// Rewire the cube views onto the new arena at their old offsets.
-	out.cubes = make([]marginal, len(mg.cubes))
-	off := 0
-	for i := range mg.cubes {
-		size := len(mg.cubes[i].counts)
-		out.cubes[i] = marginal{
-			attrs:  mg.cubes[i].attrs,
-			dims:   mg.cubes[i].dims,
-			counts: out.arena[off : off+size : off+size],
-		}
-		off += size
+		addInto(out.arena, d.arena)
+		addInto(out.sizes, d.sizes)
 	}
 	return &out
 }
 
 // Checksum returns a deterministic FNV-1a fingerprint of the whole index:
 // depth, total, and every cube's attribute set, dimensions, and counts, in
-// the deterministic cubeList order. Two Marginals built from the same
+// the deterministic cube order. Two Marginals built from the same
 // publication agree bit for bit regardless of worker count, so equal
 // checksums across PipelineWorkers settings is the serving layer's
 // bit-identity invariant (checked continuously by internal/sim).
@@ -437,102 +470,101 @@ func (mg *Marginals) Compact() *Marginals {
 // generation stack — so a stacked index and its compaction fingerprint
 // identically. Compaction timing therefore never shows in a digest, which
 // is what keeps fleet replica agreement and the sim's byte-identical
-// summaries independent of when the background compactor runs.
+// summaries independent of when the background compactor runs. The size
+// plane is derived from the counts and is not folded.
 func (mg *Marginals) Checksum() uint64 {
 	d := stats.NewDigest()
 	d.Word(uint64(mg.MaxDim))
 	d.Word(uint64(mg.Total()))
-	for ci, cube := range mg.cubeList() {
+	for ci := range mg.cubes {
+		cube := &mg.cubes[ci]
 		d.Word(uint64(len(cube.attrs)))
-		for i := range cube.attrs {
-			d.Word(uint64(cube.attrs[i]))
-			d.Word(uint64(cube.dims[i]))
+		for _, a := range cube.attrs {
+			d.Word(uint64(a))
+			d.Word(uint64(mg.addr[a].dom))
 		}
-		if len(mg.deltas) == 0 {
-			for _, c := range cube.counts {
-				d.Word(uint64(c))
-			}
-			continue
-		}
-		for j := range cube.counts {
-			c := cube.counts[j]
-			for _, g := range mg.deltas {
-				c += g.cubes[ci].counts[j]
-			}
-			d.Word(uint64(c))
+		for k := cube.cell0 * mg.m; k < (cube.cell0+cube.cells)*mg.m; k++ {
+			d.Word(uint64(mg.count(k)))
 		}
 	}
 	return d.Sum64()
 }
 
-// locate resolves a condition set to its cube index and the flat base offset
-// of the conditions' cell (the SA=0 slot; the caller adds the SA code). The
-// cube index — not a pointer — is returned because every generation of a
-// stacked index shares one layout: the same (index, offset) addresses the
-// matching cell in each delta, so readers can sum the stack positionally. It is
-// the steady-state hot path of every answering method, so it allocates
-// nothing: conditions are sorted in a fixed stack buffer, the packed key,
-// domain checks, and row-major offset are computed in one pass, and errors
-// (the only allocating branches) fire only on invalid queries.
+// locate resolves a condition set to its NA cell: the cell's number in the
+// size plane, which times m is the arena offset of its SA=0 count. Every
+// generation of a stacked index shares one layout, so the same number
+// addresses the matching cell in each delta. It is the one lookup behind
+// every answering method, so it allocates nothing: conditions are sorted in
+// a fixed stack buffer, and errors (the only allocating branches) fire only
+// on invalid queries.
 //
-// Attribute indices are validated against the schema before the packed key
-// is formed: subsetKey holds one byte per attribute, so an unchecked index ≥
-// 255 — reachable from the binary wire path, which carries raw uint16 codes —
-// would alias another subset's key and silently answer the wrong cube.
-func (mg *Marginals) locate(conds []Cond) (int, int, error) {
-	if len(conds) == 0 {
-		return 0, 0, fmt.Errorf("query: at least one NA condition is required")
+// The cube is found by arithmetic, not search: the sorted conditions' NA
+// positions give the combinadic rank that newMarginals placed the cube at,
+// and the condition values give the row-major cell within it. Attribute
+// indices are range-checked before any table is read — the binary wire path
+// carries raw uint16 attribute codes — and a condition on the SA attribute,
+// which has no cube, is rejected rather than ranked.
+func (mg *Marginals) locate(conds []Cond) (int, error) {
+	n := len(conds)
+	if n == 0 {
+		return 0, fmt.Errorf("query: at least one NA condition is required")
 	}
-	if len(conds) > mg.MaxDim || len(conds) > subsetKeyMaxDim {
-		return 0, 0, fmt.Errorf("query: %d conditions exceed the indexed maximum %d", len(conds), mg.MaxDim)
+	if n > mg.MaxDim || n > indexMaxDim {
+		return 0, fmt.Errorf("query: %d conditions exceed the indexed maximum %d", n, mg.MaxDim)
 	}
-	var buf [subsetKeyMaxDim]Cond
-	n := copy(buf[:], conds)
+	var buf [indexMaxDim]Cond
+	copy(buf[:], conds)
 	// Insertion sort by attribute: n ≤ 8, almost always already sorted.
 	for i := 1; i < n; i++ {
 		for j := i; j > 0 && buf[j].Attr < buf[j-1].Attr; j-- {
 			buf[j], buf[j-1] = buf[j-1], buf[j]
 		}
 	}
-	nAttrs := mg.Schema.NumAttrs()
-	var key uint64 = ^uint64(0)
+	rank, public := mg.first[n], true
 	for i := 0; i < n; i++ {
 		a := buf[i].Attr
-		if a < 0 || a >= nAttrs {
-			return 0, 0, fmt.Errorf("query: attribute index %d out of schema range [0,%d)", a, nAttrs)
+		if a < 0 || a >= len(mg.addr) {
+			return 0, fmt.Errorf("query: attribute index %d out of schema range [0,%d)", a, len(mg.addr))
 		}
 		if i > 0 && a == buf[i-1].Attr {
-			return 0, 0, fmt.Errorf("query: duplicate condition on attribute %d", a)
+			return 0, fmt.Errorf("query: duplicate condition on attribute %d", a)
 		}
-		shift := uint(8 * i)
-		key = (key &^ (uint64(0xFF) << shift)) | uint64(a)<<shift
+		t := mg.addr[a].term[i]
+		public = public && t >= 0
+		rank += t
 	}
-	ci, ok := mg.index[key]
-	if !ok {
-		return 0, 0, fmt.Errorf("query: no cube for attribute set %v", condAttrs(buf[:n]))
+	if !public {
+		return 0, fmt.Errorf("query: no cube for attribute set %v", condAttrs(buf[:n]))
 	}
-	cube := &mg.cubes[ci]
-	idx := 0
+	cell := 0
 	for i := 0; i < n; i++ {
-		v := int(buf[i].Value)
-		if v >= cube.dims[i] {
-			return 0, 0, fmt.Errorf("query: value %d out of domain for attribute %d", v, buf[i].Attr)
+		v, dom := int(buf[i].Value), mg.addr[buf[i].Attr].dom
+		if v >= dom {
+			return 0, fmt.Errorf("query: value %d out of domain for attribute %d", v, buf[i].Attr)
 		}
-		idx = idx*cube.dims[i] + v
+		cell = cell*dom + v
 	}
-	return int(ci), idx * mg.Schema.SADomain(), nil
+	return mg.cubes[rank].cell0 + cell, nil
 }
 
-// cell returns the effective count of one cube cell: the base value plus the
-// matching cell of every delta generation. The stack is typically empty or a
-// handful deep (the compactor bounds it), so this stays branch-cheap on the
-// zero-alloc answering paths.
-func (mg *Marginals) cell(ci, off int) int {
-	c := mg.cubes[ci].counts[off]
+// count returns the effective count at arena offset k: the base value plus
+// the matching count of every delta generation. The stack is typically
+// empty or a handful deep (the compactor bounds it).
+func (mg *Marginals) count(k int) int {
+	c := mg.arena[k]
 	for _, d := range mg.deltas {
-		c += d.cubes[ci].counts[off]
+		c += d.arena[k]
 	}
 	return c
+}
+
+// size returns |S*| of NA cell k: one size-plane read per generation.
+func (mg *Marginals) size(k int) int {
+	s := mg.sizes[k]
+	for _, d := range mg.deltas {
+		s += d.sizes[k]
+	}
+	return s
 }
 
 // condAttrs extracts the attribute indices of a sorted condition slice for
@@ -547,82 +579,49 @@ func condAttrs(conds []Cond) []int {
 
 // SADomain returns m, the sensitive-attribute domain size of the indexed
 // schema (part of the reconstruct.Counter contract).
-func (mg *Marginals) SADomain() int { return mg.Schema.SADomain() }
+func (mg *Marginals) SADomain() int { return mg.m }
 
 // SubsetCountsInto fills dst (length SADomain) with the SA histogram of the
-// subset matching conds and returns the subset size — one cube lookup, the
+// subset matching conds and returns the subset size — one locate, the
 // indexed replacement for the O(n) observed-counts table scan. It completes
 // the reconstruct.Counter contract, making every Marginals an adversary
 // engine source.
 func (mg *Marginals) SubsetCountsInto(conds []Cond, dst []int) (int, error) {
-	ci, base, err := mg.locate(conds)
+	k, err := mg.locate(conds)
 	if err != nil {
 		return 0, err
 	}
-	m := mg.Schema.SADomain()
-	if len(dst) < m {
-		return 0, fmt.Errorf("query: subset histogram needs %d slots, got %d", m, len(dst))
+	if len(dst) < mg.m {
+		return 0, fmt.Errorf("query: subset histogram needs %d slots, got %d", mg.m, len(dst))
 	}
-	size := 0
-	if len(mg.deltas) == 0 {
-		counts := mg.cubes[ci].counts
-		for sa := 0; sa < m; sa++ {
-			c := counts[base+sa]
-			dst[sa] = c
-			size += c
-		}
-		return size, nil
+	for sa := 0; sa < mg.m; sa++ {
+		dst[sa] = mg.count(k*mg.m + sa)
 	}
-	for sa := 0; sa < m; sa++ {
-		c := mg.cell(ci, base+sa)
-		dst[sa] = c
-		size += c
-	}
-	return size, nil
+	return mg.size(k), nil
 }
 
 // Count answers the full query (NA conditions ∧ SA=sa).
 func (mg *Marginals) Count(q Query) (int, error) {
-	ci, base, err := mg.locate(q.Conds)
-	if err != nil {
-		return 0, err
-	}
-	if int(q.SA) >= mg.Schema.SADomain() {
-		return 0, fmt.Errorf("query: SA value %d out of domain", q.SA)
-	}
-	return mg.cell(ci, base+int(q.SA)), nil
+	a := mg.answerOne(q, 1)
+	return a.Count, a.Err
 }
 
 // CountNA answers the NA-only part of the query (the subset S the estimator
 // reconstructs over).
 func (mg *Marginals) CountNA(conds []Cond) (int, error) {
-	ci, base, err := mg.locate(conds)
+	k, err := mg.locate(conds)
 	if err != nil {
 		return 0, err
 	}
-	total := 0
-	for sa := 0; sa < mg.Schema.SADomain(); sa++ {
-		total += mg.cell(ci, base+sa)
-	}
-	return total, nil
+	return mg.size(k), nil
 }
 
 // Estimate computes est = |S*|·F' (Section 6.1) for the query against
 // published data indexed by mg, where F' is the Lemma 2(ii) MLE computed
 // from the observed count O* of sa within the matching subset S*.
-// A query matching no published records estimates 0.
+// A query matching no published records estimates 0; at p = 1 the estimate
+// is the count itself. It is the Estimate of the batch answer, bit for bit.
 func (mg *Marginals) Estimate(q Query, p float64) (float64, error) {
-	size, err := mg.CountNA(q.Conds)
-	if err != nil {
-		return 0, err
-	}
-	if size == 0 {
-		return 0, nil
-	}
-	obs, err := mg.Count(q)
-	if err != nil {
-		return 0, err
-	}
-	fPrime := reconstruct.MLEValue(obs, size, p, mg.Schema.SADomain())
-	return float64(size) * fPrime, nil
+	a := mg.answerOne(q, p)
+	return a.Estimate, a.Err
 }

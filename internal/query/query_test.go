@@ -1,31 +1,21 @@
 package query
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"github.com/reconpriv/reconpriv/internal/dataset"
 	"github.com/reconpriv/reconpriv/internal/reconstruct"
 	"github.com/reconpriv/reconpriv/internal/stats"
 )
 
-// testTable builds a reproducible random 4-attribute table.
+// testTable builds a reproducible random table: public attributes A, B, C
+// with domains 3, 2, 4, then the SA attribute S.
 func testTable(t *testing.T, seed int64, rows int) *dataset.Table {
 	t.Helper()
-	s := dataset.MustSchema([]dataset.Attribute{
-		{Name: "A", Values: []string{"a0", "a1", "a2"}},
-		{Name: "B", Values: []string{"b0", "b1"}},
-		{Name: "C", Values: []string{"c0", "c1", "c2", "c3"}},
-		{Name: "S", Values: []string{"s0", "s1", "s2", "s3", "s4"}},
-	}, "S")
-	tab := dataset.NewTable(s, rows)
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < rows; i++ {
-		tab.MustAppendRow(uint16(rng.Intn(3)), uint16(rng.Intn(2)), uint16(rng.Intn(4)), uint16(rng.Intn(5)))
-	}
-	return tab
+	return shapeTable(t, seed, rows, []int{3, 2, 4}, 3)
 }
 
 // bruteCount scans the table.
@@ -47,40 +37,196 @@ func bruteCount(tab *dataset.Table, q Query, withSA bool) int {
 	return n
 }
 
+// shapeTable builds a reproducible random table with public attributes A,
+// B, … of the given domains and a five-value SA attribute S inserted at
+// position saPos.
+func shapeTable(t *testing.T, seed int64, rows int, doms []int, saPos int) *dataset.Table {
+	t.Helper()
+	doms = append(append(append([]int(nil), doms[:saPos]...), 5), doms[saPos:]...)
+	attrs := make([]dataset.Attribute, len(doms))
+	for i, d := range doms {
+		name := 'A' + rune(i)
+		switch {
+		case i == saPos:
+			name = 'S'
+		case i > saPos:
+			name--
+		}
+		attrs[i].Name = string(name)
+		for v := 0; v < d; v++ {
+			attrs[i].Values = append(attrs[i].Values, fmt.Sprintf("%c%d", name+'a'-'A', v))
+		}
+	}
+	tab := dataset.NewTable(dataset.MustSchema(attrs, "S"), rows)
+	rng := rand.New(rand.NewSource(seed))
+	row := make([]uint16, len(doms))
+	for r := 0; r < rows; r++ {
+		for i, d := range doms {
+			row[i] = uint16(rng.Intn(d))
+		}
+		tab.MustAppendRow(row...)
+	}
+	return tab
+}
+
+// subsets returns every subset of na with 1..maxSize attributes, sorted.
+func subsets(na []int, maxSize int) [][]int {
+	var out [][]int
+	var walk func(start int, cur []int)
+	walk = func(start int, cur []int) {
+		if len(cur) > 0 {
+			out = append(out, append([]int(nil), cur...))
+		}
+		if len(cur) == maxSize {
+			return
+		}
+		for i := start; i < len(na); i++ {
+			walk(i+1, append(cur, na[i]))
+		}
+	}
+	walk(0, nil)
+	return out
+}
+
+// cellQueries returns one SA=0 query per cell of the subset's cube, with the
+// conditions in reverse attribute order so that locate has to sort them.
+func cellQueries(s *dataset.Schema, attrs []int) []Query {
+	qs := []Query{{}}
+	for i := len(attrs) - 1; i >= 0; i-- {
+		a := attrs[i]
+		var next []Query
+		for _, q := range qs {
+			for v := 0; v < s.Attrs[a].Domain(); v++ {
+				conds := append(append([]Cond(nil), q.Conds...), Cond{Attr: a, Value: uint16(v)})
+				next = append(next, Query{Conds: conds})
+			}
+		}
+		qs = next
+	}
+	return qs
+}
+
+// TestMarginalsMatchBruteForce checks every cell of every indexed subset
+// against a table scan, on schemas with the SA attribute first, in the
+// middle and last, indexed below and at the number of public attributes:
+// Count, CountNA, Estimate and AnswerBatch all agree with the scan, and a
+// subset deeper than the index errors.
 func TestMarginalsMatchBruteForce(t *testing.T) {
-	tab := testTable(t, 1, 2000)
-	mg, err := BuildMarginals(tab, 3)
-	if err != nil {
-		t.Fatal(err)
+	shapes := []struct {
+		name   string
+		doms   []int
+		saPos  int
+		maxDim int
+	}{
+		{"sa-last/full", []int{3, 2, 4}, 3, 3},
+		{"sa-last/below", []int{3, 2, 4, 2}, 4, 2},
+		{"sa-first/full", []int{3, 2, 4, 2}, 0, 4},
+		{"sa-first/below", []int{3, 2, 4, 2}, 0, 1},
+		{"sa-middle/full", []int{2, 3, 2, 4}, 2, 4},
+		{"sa-middle/below", []int{2, 3, 2, 4, 3}, 1, 3},
 	}
-	if mg.Total() != 2000 {
-		t.Fatalf("Total = %d", mg.Total())
+	const p = 0.5
+	for i, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			tab := shapeTable(t, int64(i+1), 600, sh.doms, sh.saPos)
+			mg, err := BuildMarginals(tab, sh.maxDim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mg.Total() != 600 {
+				t.Fatalf("Total = %d", mg.Total())
+			}
+			m := tab.Schema.SADomain()
+			na := tab.Schema.NAIndices()
+			var qs []Query
+			for _, attrs := range subsets(na, sh.maxDim) {
+				for _, cell := range cellQueries(tab.Schema, attrs) {
+					size := bruteCount(tab, cell, false)
+					if got, err := mg.CountNA(cell.Conds); err != nil || got != size {
+						t.Fatalf("CountNA %v = %d, %v; scan %d", cell.Conds, got, err, size)
+					}
+					for sa := 0; sa < m; sa++ {
+						q := Query{Conds: cell.Conds, SA: uint16(sa)}
+						obs := bruteCount(tab, q, true)
+						want := 0.0
+						if size > 0 {
+							want = float64(size) * reconstruct.MLEValue(obs, size, p, m)
+						}
+						if got, err := mg.Count(q); err != nil || got != obs {
+							t.Fatalf("Count %v = %d, %v; scan %d", q, got, err, obs)
+						}
+						if got, err := mg.Estimate(q, p); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("Estimate %v = %v, %v; scan %v", q, got, err, want)
+						}
+						if got, err := mg.Estimate(q, 1); err != nil || got != float64(obs) {
+							t.Fatalf("Estimate %v at p=1 = %v, %v; scan %d", q, got, err, obs)
+						}
+						qs = append(qs, q)
+					}
+				}
+			}
+			for i, a := range mg.AnswerBatch(qs, p, 0) {
+				want, _ := mg.Estimate(qs[i], p)
+				if a.Err != nil || a.Count != bruteCount(tab, qs[i], true) || math.Float64bits(a.Estimate) != math.Float64bits(want) {
+					t.Fatalf("AnswerBatch %v = %+v; scan count %d, estimate %v", qs[i], a, bruteCount(tab, qs[i], true), want)
+				}
+			}
+			if sh.maxDim < len(na) {
+				deep := cellQueries(tab.Schema, na[:sh.maxDim+1])[0]
+				if _, err := mg.Count(deep); err == nil {
+					t.Fatalf("Count over %d attributes with MaxDim %d did not error", len(deep.Conds), sh.maxDim)
+				}
+				if _, err := mg.CountNA(deep.Conds); err == nil {
+					t.Fatal("CountNA beyond MaxDim did not error")
+				}
+				if _, err := mg.Estimate(deep, p); err == nil {
+					t.Fatal("Estimate beyond MaxDim did not error")
+				}
+				if a := mg.AnswerBatch([]Query{deep}, p, 1); a[0].Err == nil {
+					t.Fatal("AnswerBatch beyond MaxDim did not error")
+				}
+			}
+		})
 	}
-	// Property: any valid query agrees with a table scan.
-	rng := rand.New(rand.NewSource(2))
-	prop := func(d8, a8, b8, c8, sa8 uint8) bool {
-		d := 1 + int(d8%3)
-		attrs := rng.Perm(3)[:d]
-		q := Query{SA: uint16(sa8 % 5)}
-		vals := []uint16{uint16(a8 % 3), uint16(b8 % 2), uint16(c8 % 4)}
-		for _, a := range attrs {
-			q.Conds = append(q.Conds, Cond{Attr: a, Value: vals[a]})
+}
+
+// TestCubeOrderIsPackedKeyOrder pins the cube layout that every checksum
+// folds: newMarginals places cubes at their combinadic rank, and that order
+// must be the ascending packed subset-key order, whatever the schema shape.
+func TestCubeOrderIsPackedKeyOrder(t *testing.T) {
+	// subsetKey packs a sorted attribute subset into a uint64: one byte per
+	// attribute index, 0xFF padding unused slots.
+	subsetKey := func(attrs []int) uint64 {
+		var k uint64 = ^uint64(0)
+		for i, a := range attrs {
+			shift := uint(8 * i)
+			k = (k &^ (uint64(0xFF) << shift)) | uint64(a)<<shift
 		}
-		got, err := mg.Count(q)
+		return k
+	}
+	for _, sh := range []struct {
+		doms          []int
+		saPos, maxDim int
+	}{
+		{[]int{3, 2, 4}, 3, 3},
+		{[]int{2, 2, 2, 2, 2, 2, 2}, 0, 4},
+		{[]int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, 5, 8},
+		{[]int{3, 2, 4, 2, 2}, 2, 2},
+	} {
+		tab := shapeTable(t, 1, 0, sh.doms, sh.saPos)
+		mg, err := BuildMarginals(tab, sh.maxDim)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		if got != bruteCount(tab, q, true) {
-			return false
+		if want := len(subsets(tab.Schema.NAIndices(), sh.maxDim)); len(mg.cubes) != want {
+			t.Fatalf("%v: %d cubes, want %d", sh, len(mg.cubes), want)
 		}
-		na, err := mg.CountNA(q.Conds)
-		if err != nil {
-			return false
+		for i := 1; i < len(mg.cubes); i++ {
+			if subsetKey(mg.cubes[i-1].attrs) >= subsetKey(mg.cubes[i].attrs) {
+				t.Fatalf("%v: cube %d %v does not follow cube %d %v in key order",
+					sh, i, mg.cubes[i].attrs, i-1, mg.cubes[i-1].attrs)
+			}
 		}
-		return na == bruteCount(tab, q, false)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -108,27 +254,56 @@ func TestMarginalsFromGroupsMatchTable(t *testing.T) {
 	}
 }
 
+// TestMarginalsErrors checks that every invalid query is refused by every
+// answering method with the same error, and never answered from some other
+// cube: the attribute checks matter because the binary wire path carries raw
+// uint16 attribute codes.
 func TestMarginalsErrors(t *testing.T) {
 	tab := testTable(t, 4, 100)
 	mg, err := BuildMarginals(tab, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mg.Count(Query{SA: 0}); err == nil {
-		t.Error("zero conditions should error")
+	nine := make([]Cond, 9)
+	for i := range nine {
+		nine[i] = Cond{Attr: i}
 	}
-	threeConds := []Cond{{Attr: 0, Value: 0}, {Attr: 1, Value: 0}, {Attr: 2, Value: 0}}
-	if _, err := mg.CountNA(threeConds); err == nil {
-		t.Error("exceeding MaxDim should error")
-	}
-	if _, err := mg.Count(Query{Conds: []Cond{{Attr: 0, Value: 0}, {Attr: 0, Value: 1}}, SA: 0}); err == nil {
-		t.Error("duplicate attribute should error")
-	}
-	if _, err := mg.Count(Query{Conds: []Cond{{Attr: 0, Value: 99}}, SA: 0}); err == nil {
-		t.Error("out-of-domain value should error")
-	}
-	if _, err := mg.Count(Query{Conds: []Cond{{Attr: 0, Value: 0}}, SA: 99}); err == nil {
-		t.Error("out-of-domain SA should error")
+	for _, tc := range []struct {
+		name  string
+		q     Query
+		want  string
+		saErr bool // the conditions are valid; only the SA value is not
+	}{
+		{"no conditions", Query{}, "query: at least one NA condition is required", false},
+		{"beyond MaxDim", Query{Conds: []Cond{{Attr: 0}, {Attr: 1}, {Attr: 2}}},
+			"query: 3 conditions exceed the indexed maximum 2", false},
+		{"nine conditions", Query{Conds: nine}, "query: 9 conditions exceed the indexed maximum 2", false},
+		{"duplicate attribute", Query{Conds: []Cond{{Attr: 0, Value: 0}, {Attr: 0, Value: 1}}},
+			"query: duplicate condition on attribute 0", false},
+		{"value out of domain", Query{Conds: []Cond{{Attr: 0, Value: 99}}},
+			"query: value 99 out of domain for attribute 0", false},
+		{"SA attribute", Query{Conds: []Cond{{Attr: 3, Value: 0}}}, "query: no cube for attribute set [3]", false},
+		{"SA attribute in a pair", Query{Conds: []Cond{{Attr: 3, Value: 0}, {Attr: 1, Value: 0}}},
+			"query: no cube for attribute set [1 3]", false},
+		{"attribute -1", Query{Conds: []Cond{{Attr: -1}}}, "query: attribute index -1 out of schema range [0,4)", false},
+		{"attribute NumAttrs", Query{Conds: []Cond{{Attr: 4}}}, "query: attribute index 4 out of schema range [0,4)", false},
+		{"attribute 300", Query{Conds: []Cond{{Attr: 1}, {Attr: 300}}},
+			"query: attribute index 300 out of schema range [0,4)", false},
+		{"SA out of domain", Query{Conds: []Cond{{Attr: 0, Value: 0}}, SA: 99}, "query: SA value 99 out of domain", true},
+	} {
+		errs := map[string]error{}
+		_, errs["Count"] = mg.Count(tc.q)
+		_, errs["Estimate"] = mg.Estimate(tc.q, 0.5)
+		errs["AnswerBatch"] = mg.AnswerBatch([]Query{tc.q}, 0.5, 1)[0].Err
+		if !tc.saErr {
+			_, errs["CountNA"] = mg.CountNA(tc.q.Conds)
+			_, errs["SubsetCountsInto"] = mg.SubsetCountsInto(tc.q.Conds, make([]int, 5))
+		}
+		for method, err := range errs {
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s: %s error %v, want %q", tc.name, method, err, tc.want)
+			}
+		}
 	}
 	if _, err := BuildMarginals(tab, 0); err == nil {
 		t.Error("maxDim 0 should error")
