@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	rpsim [-scenario steady-read|churn|adversary|fleet|budget|mixed] [-seed N]
-//	      [-clients N] [-steps N] [-think D] [-pipeline-workers N] [-list]
+//	rpsim [-scenario steady-read|churn|ingest|adversary|fleet|fleet-ingest|budget|mixed]
+//	      [-seed N] [-clients N] [-steps N] [-think D] [-pipeline-workers N] [-list]
 //
 // The deterministic JSON summary goes to stdout — two runs with the same
 // scenario, seed, and scale print byte-identical summaries — and the

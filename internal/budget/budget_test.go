@@ -291,6 +291,46 @@ func TestMemoryBounded(t *testing.T) {
 	}
 }
 
+// TestSketchClearsOnlyWrittenSlabs pins the window sketch's expiry: the
+// first advance of a fresh sketch (every slot expired, since epochs start
+// at 0) leaves never-charged slabs untouched — a sentinel planted behind
+// the sketch's back survives — while a charged slab is still zeroed once
+// its epoch rolls out of the window.
+func TestSketchClearsOnlyWrittenSlabs(t *testing.T) {
+	const slots = 4
+	w := newWinSketch(slots, 2, 8)
+	for pos := 0; pos < slots; pos++ {
+		w.slab(pos)[0] = 7
+	}
+	e := int64(1_000_001)
+	w.advance(e)
+	for pos := 0; pos < slots; pos++ {
+		if got := w.slab(pos)[0]; got != 7 {
+			t.Fatalf("first advance cleared never-written slab %d (sentinel %d)", pos, got)
+		}
+	}
+
+	base := hashKey("client")
+	w.add(base, e, 5)
+	pos := int(e % slots)
+	if got := w.slotEstimate(base, pos); got < 5 {
+		t.Fatalf("charged slot estimate %d, want >= 5", got)
+	}
+	w.advance(e + slots - 1)
+	if got := w.slotEstimate(base, pos); got < 5 {
+		t.Fatalf("slot cleared while still inside the window (estimate %d)", got)
+	}
+	w.advance(e + slots)
+	for i, c := range w.slab(pos) {
+		if c != 0 {
+			t.Fatalf("rollover left counter %d = %d in the charged slab", i, c)
+		}
+	}
+	if got := w.slotEstimate(base, pos); got != 0 {
+		t.Fatalf("expired slot estimate %d, want 0", got)
+	}
+}
+
 func BenchmarkBudgetCharge(b *testing.B) {
 	m := New(Config{})
 	rng := stats.NewRand(1)

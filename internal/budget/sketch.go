@@ -41,16 +41,22 @@ type winSketch struct {
 	mask         uint64
 	counts       []uint32 // slots × depth × width
 	epochs       []int64  // epoch currently stored in each slot position
+	// written marks slot positions charged since their slab was last
+	// zeroed. Expiry clears only those: a fresh manager's first advance
+	// expires every slot, and re-zeroing the slabs make just returned
+	// would stall that first charge and fault in the whole sketch.
+	written []bool
 }
 
 func newWinSketch(slots, depth int, width uint64) *winSketch {
 	return &winSketch{
-		slots:  slots,
-		depth:  depth,
-		width:  width,
-		mask:   width - 1,
-		counts: make([]uint32, uint64(slots)*uint64(depth)*width),
-		epochs: make([]int64, slots),
+		slots:   slots,
+		depth:   depth,
+		width:   width,
+		mask:    width - 1,
+		counts:  make([]uint32, uint64(slots)*uint64(depth)*width),
+		epochs:  make([]int64, slots),
+		written: make([]bool, slots),
 	}
 }
 
@@ -66,9 +72,9 @@ func (w *winSketch) advance(e int64) {
 		if next > e {
 			next -= int64(w.slots)
 		}
-		slab := w.slab(pos)
-		for i := range slab {
-			slab[i] = 0
+		if w.written[pos] {
+			clear(w.slab(pos))
+			w.written[pos] = false
 		}
 		w.epochs[pos] = next
 	}
@@ -82,7 +88,9 @@ func (w *winSketch) slab(pos int) []uint32 {
 // add charges n into the slot holding epoch e. Counters saturate rather
 // than wrap, preserving the never-undercount invariant.
 func (w *winSketch) add(base uint64, e int64, n int64) {
-	slab := w.slab(int(e % int64(w.slots)))
+	pos := int(e % int64(w.slots))
+	w.written[pos] = true
+	slab := w.slab(pos)
 	for d := 0; d < w.depth; d++ {
 		c := &slab[uint64(d)*w.width+rowIndex(base, d, w.mask)]
 		if s := uint64(*c) + uint64(n); s > math.MaxUint32 {

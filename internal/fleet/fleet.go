@@ -14,7 +14,6 @@ import (
 
 	"github.com/reconpriv/reconpriv/internal/budget"
 	"github.com/reconpriv/reconpriv/internal/serve"
-	"github.com/reconpriv/reconpriv/internal/wire"
 )
 
 // Config tunes the fleet; the zero value is fully usable.
@@ -241,16 +240,7 @@ type Fleet struct {
 // newFleet builds the replica-less shell shared by every constructor.
 func newFleet(cfg Config, mode fleetMode) *Fleet {
 	f := &Fleet{cfg: cfg.withDefaults(), mode: mode}
-	f.budget = budget.New(budget.Config{
-		Quota:            f.cfg.Serve.BudgetQuota,
-		TrustedQuota:     f.cfg.Serve.BudgetTrustedQuota,
-		Trusted:          f.cfg.Serve.BudgetTrusted,
-		PublicationQuota: f.cfg.Serve.BudgetPublicationQuota,
-		Window:           f.cfg.Serve.BudgetWindow,
-		SoftFraction:     f.cfg.Serve.BudgetSoftFraction,
-		MaxTracked:       f.cfg.Serve.BudgetMaxTracked,
-		Clock:            f.cfg.Serve.Clock,
-	})
+	f.budget = budget.New(f.cfg.Serve.Budget())
 	f.pubs.m = make(map[string]*pub)
 	f.idem.m = make(map[string]*response)
 	return f
@@ -354,13 +344,6 @@ func (f *Fleet) Config() Config { return f.cfg }
 // "spawned" (child processes), or "attached" (external peers).
 func (f *Fleet) Transport() string { return f.mode.String() }
 
-// jsonHeader is the control plane's request header.
-func jsonHeader() http.Header {
-	h := make(http.Header, 1)
-	h.Set("Content-Type", "application/json")
-	return h
-}
-
 // roundTrip executes one control-plane exchange on a transport under the
 // build deadline.
 func (f *Fleet) roundTrip(tr transport, method, path string, hdr http.Header, body []byte) (*response, error) {
@@ -418,7 +401,7 @@ func (f *Fleet) Publish(req serve.PublishRequest) (string, error) {
 		if !rep.alive.Load() {
 			continue
 		}
-		if err := controlErr(f.control(rep, http.MethodPost, "/publish", jsonHeader(), body)); err != nil {
+		if err := controlErr(f.control(rep, http.MethodPost, "/publish", bodyHeader(false), body)); err != nil {
 			return "", fmt.Errorf("fleet: replica %d: %w", h, err)
 		}
 	}
@@ -458,7 +441,7 @@ func (f *Fleet) Refresh(id string) error {
 		if !rep.alive.Load() {
 			continue
 		}
-		resp, err := f.control(rep, http.MethodPost, "/refresh", jsonHeader(), body)
+		resp, err := f.control(rep, http.MethodPost, "/refresh", bodyHeader(false), body)
 		if err != nil {
 			missed = append(missed, h)
 			continue
@@ -501,7 +484,7 @@ func (f *Fleet) maybeCheckpoint(id string, p *pub) {
 		if !rep.alive.Load() || p.stale[h] {
 			continue
 		}
-		resp, err := f.control(rep, http.MethodPost, "/snapshot", jsonHeader(), body)
+		resp, err := f.control(rep, http.MethodPost, "/snapshot", bodyHeader(false), body)
 		if err != nil || resp.status != http.StatusOK {
 			continue
 		}
@@ -647,7 +630,7 @@ func (f *Fleet) RestartReplica(i int) error {
 func (f *Fleet) replayOn(tr transport, p *pub) error {
 	id := serve.IDForKey(p.req.Key())
 	if p.snap != nil {
-		if err := controlErr(f.roundTrip(tr, http.MethodPost, "/restore", jsonHeader(), p.snap)); err != nil {
+		if err := controlErr(f.roundTrip(tr, http.MethodPost, "/restore", bodyHeader(false), p.snap)); err != nil {
 			return fmt.Errorf("restoring checkpoint of %q: %w", id, err)
 		}
 	} else {
@@ -655,7 +638,7 @@ func (f *Fleet) replayOn(tr transport, p *pub) error {
 		if err != nil {
 			return err
 		}
-		if err := controlErr(f.roundTrip(tr, http.MethodPost, "/publish", jsonHeader(), body)); err != nil {
+		if err := controlErr(f.roundTrip(tr, http.MethodPost, "/publish", bodyHeader(false), body)); err != nil {
 			return fmt.Errorf("rebuilding %q: %w", id, err)
 		}
 	}
@@ -666,18 +649,12 @@ func (f *Fleet) replayOn(tr transport, p *pub) error {
 	for i := range p.log {
 		m := &p.log[i]
 		if m.refresh {
-			if err := controlErr(f.roundTrip(tr, http.MethodPost, "/refresh", jsonHeader(), refreshBody)); err != nil {
+			if err := controlErr(f.roundTrip(tr, http.MethodPost, "/refresh", bodyHeader(false), refreshBody)); err != nil {
 				return fmt.Errorf("replaying refresh %d of %q: %w", i, id, err)
 			}
 			continue
 		}
-		hdr := make(http.Header, 1)
-		if m.binary {
-			hdr.Set("Content-Type", wire.ContentType)
-		} else {
-			hdr.Set("Content-Type", "application/json")
-		}
-		if err := controlErr(f.roundTrip(tr, http.MethodPost, "/insert", hdr, m.body)); err != nil {
+		if err := controlErr(f.roundTrip(tr, http.MethodPost, "/insert", bodyHeader(m.binary), m.body)); err != nil {
 			return fmt.Errorf("replaying insert %d of %q: %w", i, id, err)
 		}
 	}

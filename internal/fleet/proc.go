@@ -18,67 +18,14 @@ import (
 )
 
 // childEnv is the environment variable that turns any binary calling
-// ChildServeMain into a bare replica server. Its value is the childConfig
-// JSON.
+// ChildServeMain into a bare replica server. Its value is the replica's
+// serve.Config as JSON (Clock, a function, stays behind: replicas keep
+// their own time).
 const childEnv = "RP_FLEET_CHILD"
 
 // childReadyPrefix is the stdout line a child prints once it is listening;
 // the rest of the line is its address.
 const childReadyPrefix = "RP_FLEET_CHILD_READY "
-
-// childConfig is the serializable slice of serve.Config a spawned replica
-// needs. Function-valued fields (Clock) cannot cross a process boundary and
-// budget enforcement is always disabled on replicas (the router's manager
-// is authoritative), so only the build/ingest tuning knobs travel.
-type childConfig struct {
-	Shards              int   `json:"shards,omitempty"`
-	QueryWorkers        int   `json:"query_workers,omitempty"`
-	PublishWorkers      int   `json:"publish_workers,omitempty"`
-	PipelineWorkers     int   `json:"pipeline_workers,omitempty"`
-	MaxBatch            int   `json:"max_batch,omitempty"`
-	MaxInsert           int   `json:"max_insert,omitempty"`
-	CompactEvery        int   `json:"compact_every,omitempty"`
-	IngestLegacyReindex bool  `json:"ingest_legacy_reindex,omitempty"`
-	ExposureWarn        int64 `json:"exposure_warn,omitempty"`
-	MaxPublications     int   `json:"max_publications,omitempty"`
-	AllowCSV            bool  `json:"allow_csv,omitempty"`
-}
-
-// childConfigOf extracts the portable fields from a replica serve config.
-func childConfigOf(cfg serve.Config) childConfig {
-	return childConfig{
-		Shards:              cfg.Shards,
-		QueryWorkers:        cfg.QueryWorkers,
-		PublishWorkers:      cfg.PublishWorkers,
-		PipelineWorkers:     cfg.PipelineWorkers,
-		MaxBatch:            cfg.MaxBatch,
-		MaxInsert:           cfg.MaxInsert,
-		CompactEvery:        cfg.CompactEvery,
-		IngestLegacyReindex: cfg.IngestLegacyReindex,
-		ExposureWarn:        cfg.ExposureWarn,
-		MaxPublications:     cfg.MaxPublications,
-		AllowCSV:            cfg.AllowCSV,
-	}
-}
-
-// serveConfig expands the portable fields back into a serve config with
-// budget enforcement disabled, mirroring Fleet.replicaServeConfig.
-func (c childConfig) serveConfig() serve.Config {
-	return serve.Config{
-		Shards:              c.Shards,
-		QueryWorkers:        c.QueryWorkers,
-		PublishWorkers:      c.PublishWorkers,
-		PipelineWorkers:     c.PipelineWorkers,
-		MaxBatch:            c.MaxBatch,
-		MaxInsert:           c.MaxInsert,
-		CompactEvery:        c.CompactEvery,
-		IngestLegacyReindex: c.IngestLegacyReindex,
-		ExposureWarn:        c.ExposureWarn,
-		MaxPublications:     c.MaxPublications,
-		AllowCSV:            c.AllowCSV,
-		BudgetQuota:         -1,
-	}
-}
 
 // ChildServeMain is the child-process hook for cross-process fleets: when
 // the RP_FLEET_CHILD environment variable is set, the process runs a bare
@@ -92,8 +39,8 @@ func ChildServeMain() {
 	if raw == "" {
 		return
 	}
-	var cc childConfig
-	if err := json.Unmarshal([]byte(raw), &cc); err != nil {
+	var cfg serve.Config
+	if err := json.Unmarshal([]byte(raw), &cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "fleet child: bad %s: %v\n", childEnv, err)
 		os.Exit(2)
 	}
@@ -103,7 +50,7 @@ func ChildServeMain() {
 		io.Copy(io.Discard, os.Stdin)
 		os.Exit(0)
 	}()
-	srv := serve.New(cc.serveConfig())
+	srv := serve.New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fleet child: listen: %v\n", err)
@@ -134,7 +81,7 @@ func spawnChild(cfg serve.Config, hc *http.Client) (*childProc, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: resolving own binary: %w", err)
 	}
-	cj, err := json.Marshal(childConfigOf(cfg))
+	cj, err := json.Marshal(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: encoding child config: %w", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -16,9 +15,6 @@ import (
 	"github.com/reconpriv/reconpriv/internal/stats"
 	"github.com/reconpriv/reconpriv/internal/wire"
 )
-
-// maxBodyBytes bounds proxied request bodies (matches the serve limit).
-const maxBodyBytes = 64 << 20
 
 // maxIdempotencyEntries bounds the replay cache; beyond it the oldest
 // entries are evicted FIFO.
@@ -43,11 +39,64 @@ func (f *Fleet) Handler() http.Handler {
 	return mux
 }
 
-// requestHead is the slice of a routed body the router itself reads: the
-// publication id to place the request and the client for the ledger.
-type requestHead struct {
-	ID     string `json:"id"`
-	Client string `json:"client"`
+// routed is one routed request as the router reads it: the body, opaque
+// beyond its head and forwarded byte-for-byte, the head the router places
+// and charges by, and the headers it forwards.
+type routed struct {
+	body   []byte
+	binary bool
+	id     string
+	client string
+	p      *pub
+	hdr    http.Header
+}
+
+// readRouted is the one reader of routed bodies (/query, /reconstruct,
+// /audit, /insert): serve.ReadBody's method gate and bounded read, the
+// head from wire.PeekHead or the JSON body, the publication lookup, and
+// the forwarded Content-Type. A nil return means the rejection is already
+// written.
+func (f *Fleet) readRouted(w http.ResponseWriter, r *http.Request) *routed {
+	body, ok := serve.ReadBody(w, r, nil)
+	if !ok {
+		return nil
+	}
+	rr := &routed{body: body, binary: r.Header.Get("Content-Type") == wire.ContentType}
+	rr.hdr = bodyHeader(rr.binary)
+	if rr.binary {
+		h, err := wire.PeekHead(body)
+		if err != nil {
+			serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad binary frame: %w", err))
+			return nil
+		}
+		rr.id, rr.client = string(h.ID), string(h.Client)
+	} else {
+		var head struct {
+			ID     string `json:"id"`
+			Client string `json:"client"`
+		}
+		if err := json.Unmarshal(body, &head); err != nil {
+			serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad request body: %v", err))
+			return nil
+		}
+		rr.id, rr.client = head.ID, head.Client
+	}
+	if rr.p = f.lookup(rr.id); rr.p == nil {
+		serve.WriteError(w, http.StatusNotFound, serve.CodeNotFound, fmt.Errorf("no publication %q", rr.id))
+		return nil
+	}
+	return rr
+}
+
+// bodyHeader is the request header that forwards a body in its encoding.
+func bodyHeader(binary bool) http.Header {
+	h := make(http.Header, 2)
+	if binary {
+		h.Set("Content-Type", wire.ContentType)
+	} else {
+		h.Set("Content-Type", "application/json")
+	}
+	return h
 }
 
 func (f *Fleet) proxyHandler(path string) http.HandlerFunc {
@@ -62,34 +111,8 @@ func (f *Fleet) proxyHandler(path string) http.HandlerFunc {
 // fraction of answers against a second holder.
 func (f *Fleet) proxy(w http.ResponseWriter, r *http.Request, path string) {
 	f.requests.Add(1)
-	if r.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, serve.CodeMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("reading body: %v", err))
-		return
-	}
-	// The router reads only the routing head — publication id and client —
-	// whatever the encoding; the rest of the body is opaque and forwarded
-	// byte-for-byte to the chosen replica.
-	var head requestHead
-	binary := r.Header.Get("Content-Type") == wire.ContentType
-	if binary {
-		h, err := wire.PeekHead(body)
-		if err != nil {
-			serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad binary frame: %w", err))
-			return
-		}
-		head = requestHead{ID: string(h.ID), Client: string(h.Client)}
-	} else if err := json.Unmarshal(body, &head); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad request body: %v", err))
-		return
-	}
-	p := f.lookup(head.ID)
-	if p == nil {
-		serve.WriteError(w, http.StatusNotFound, serve.CodeNotFound, fmt.Errorf("no publication %q", head.ID))
+	rr := f.readRouted(w, r)
+	if rr == nil {
 		return
 	}
 
@@ -104,9 +127,10 @@ func (f *Fleet) proxy(w http.ResponseWriter, r *http.Request, path string) {
 		}
 	}
 
-	client := head.Client
+	client := rr.client
 	if h := r.Header.Get("X-Client-ID"); h != "" {
 		client = h
+		rr.hdr.Set("X-Client-ID", h)
 	}
 	if client == "" {
 		client = "fleet"
@@ -121,11 +145,7 @@ func (f *Fleet) proxy(w http.ResponseWriter, r *http.Request, path string) {
 	// so one admitted oversized batch can overshoot; the next precheck stops
 	// the client.
 	if path != "/audit" {
-		class := budget.ClassQuery
-		if path == "/reconstruct" {
-			class = budget.ClassReconstruct
-		}
-		if res := f.budget.Precheck(client, head.ID, class); !res.OK {
+		if res := f.budget.Precheck(client, rr.id, classFor(path)); !res.OK {
 			f.budgetRejected.Add(1)
 			serve.WriteErrorRetryAfter(w, http.StatusTooManyRequests, serve.CodeBudgetExhausted,
 				fmt.Errorf("client %q over exposure budget (%s): window usage %d of quota %d",
@@ -140,17 +160,7 @@ func (f *Fleet) proxy(w http.ResponseWriter, r *http.Request, path string) {
 	// request, never of wall time.
 	keyHash := fnv64(idemKey)
 	if idemKey == "" {
-		keyHash = fnv64(string(body))
-	}
-
-	hdr := make(http.Header, 2)
-	if binary {
-		hdr.Set("Content-Type", wire.ContentType)
-	} else {
-		hdr.Set("Content-Type", "application/json")
-	}
-	if h := r.Header.Get("X-Client-ID"); h != "" {
-		hdr.Set("X-Client-ID", h)
+		keyHash = fnv64(string(rr.body))
 	}
 
 	lastCode, lastMsg := serve.CodeUnavailable, "no live holder"
@@ -159,7 +169,7 @@ func (f *Fleet) proxy(w http.ResponseWriter, r *http.Request, path string) {
 			f.retries.Add(1)
 			time.Sleep(f.backoff(keyHash, attempt))
 		}
-		rep, saturated := f.pick(p.holders, keyHash, attempt)
+		rep, saturated := f.pick(rr.p.holders, keyHash, attempt)
 		if rep == nil {
 			if saturated {
 				// Every admissible holder is at capacity: shed now rather
@@ -168,7 +178,7 @@ func (f *Fleet) proxy(w http.ResponseWriter, r *http.Request, path string) {
 				// the soonest a resend is likely to find a free slot.
 				f.shed.Add(1)
 				serve.WriteErrorRetryAfter(w, http.StatusTooManyRequests, serve.CodeOverloaded,
-					fmt.Errorf("all %d holders of %q at capacity", len(p.holders), head.ID),
+					fmt.Errorf("all %d holders of %q at capacity", len(rr.p.holders), rr.id),
 					time.Duration(f.cfg.MaxAttempts)*f.cfg.BackoffMax)
 				return
 			}
@@ -177,7 +187,7 @@ func (f *Fleet) proxy(w http.ResponseWriter, r *http.Request, path string) {
 
 		rep.inflight.Add(1)
 		ctx, cancel := context.WithTimeout(r.Context(), f.cfg.Timeout)
-		resp, err := rep.do(ctx, http.MethodPost, path, hdr, body)
+		resp, err := rep.do(ctx, http.MethodPost, path, rr.hdr, rr.body)
 		cancel()
 		rep.inflight.Add(-1)
 
@@ -204,7 +214,7 @@ func (f *Fleet) proxy(w http.ResponseWriter, r *http.Request, path string) {
 		if attempt > 0 {
 			f.failovers.Add(1)
 		}
-		final := f.settle(path, head.ID, p, rep, keyHash, hdr, body, resp, client)
+		final := f.settle(path, rr, rep, keyHash, resp, client)
 		if idemKey != "" {
 			f.idemPut(idemKey, final)
 		}
@@ -214,7 +224,7 @@ func (f *Fleet) proxy(w http.ResponseWriter, r *http.Request, path string) {
 	f.unavailable.Add(1)
 	serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeUnavailable,
 		fmt.Errorf("publication %q unavailable after %d attempts (last: %s: %s)",
-			head.ID, f.cfg.MaxAttempts, lastCode, lastMsg))
+			rr.id, f.cfg.MaxAttempts, lastCode, lastMsg))
 }
 
 // pick selects the next attempt's replica among a publication's holders:
@@ -297,9 +307,13 @@ func (f *Fleet) noteSuccess(rep *replica) {
 // charge is force-applied (ChargeServed): the replica already did the work,
 // so the ledger must record it even when it overshoots the quota — the
 // precheck in proxy stops the client on its next request.
-func (f *Fleet) settle(path, id string, p *pub, rep *replica, keyHash uint64, hdr http.Header, reqBody []byte, resp *response, client string) *response {
+func (f *Fleet) settle(path string, rr *routed, rep *replica, keyHash uint64, resp *response, client string) *response {
 	if f.cfg.VerifyEvery > 0 && path != "/audit" && keyHash%uint64(f.cfg.VerifyEvery) == 0 {
-		f.verify(path, p, rep.idx, hdr, reqBody, resp.body)
+		f.verify(path, rr, rep.idx, resp.body)
+	}
+	charge := func(n int64) serve.Ledger {
+		res := f.budget.ChargeServed(client, rr.id, n, classFor(path))
+		return serve.LedgerOf(res, f.cfg.Serve.ExposureWarn)
 	}
 
 	// Binary responses carry the ledger at a fixed offset: read the charge,
@@ -310,13 +324,9 @@ func (f *Fleet) settle(path, id string, p *pub, rep *replica, keyHash uint64, hd
 		if err != nil || led.Charged == 0 {
 			return resp
 		}
-		res := f.budget.ChargeServed(client, id, int64(led.Charged), classFor(path))
-		total, remaining, exact, warn := f.ledgerValues(res)
-		wrem := uint64(remaining)
-		if remaining < 0 {
-			wrem = wire.UnlimitedBudget
-		}
-		body, err := wire.PatchLedger(resp.body, []byte(client), uint64(total), wrem, warn, exact)
+		led = charge(int64(led.Charged)).Wire(int64(led.Charged))
+		body, err := wire.PatchLedger(resp.body, []byte(client), led.ClientQueries, led.BudgetRemaining,
+			led.ExposureWarning, led.BudgetExact)
 		if err != nil {
 			return resp
 		}
@@ -331,17 +341,16 @@ func (f *Fleet) settle(path, id string, p *pub, rep *replica, keyHash uint64, hd
 	if !ok || charged <= 0 {
 		return resp
 	}
-	res := f.budget.ChargeServed(client, id, int64(charged), classFor(path))
-	total, remaining, exact, warn := f.ledgerValues(res)
-	doc["client_queries"] = total
+	led := charge(int64(charged))
+	doc["client_queries"] = led.ClientQueries
 	doc["client"] = client
-	doc["budget_remaining"] = remaining
-	if exact {
+	doc["budget_remaining"] = led.BudgetRemaining
+	if led.BudgetExact {
 		doc["budget_exact"] = true
 	} else {
 		delete(doc, "budget_exact")
 	}
-	if warn {
+	if led.ExposureWarning {
 		doc["exposure_warning"] = true
 	} else {
 		delete(doc, "exposure_warning")
@@ -362,52 +371,26 @@ func classFor(path string) budget.Class {
 	return budget.ClassQuery
 }
 
-// ledgerValues converts a budget result into response ledger fields, with
-// serve's conventions: -1 remaining means enforcement is disabled, and the
-// warning compares the cumulative total against the serve threshold.
-func (f *Fleet) ledgerValues(res budget.Result) (total, remaining int64, exact, warn bool) {
-	total = res.Total
-	remaining = res.Remaining
-	if remaining == budget.Unlimited {
-		remaining = -1
-	}
-	w := f.exposureWarn()
-	return total, remaining, res.Exact, w > 0 && total > w
-}
-
-// exposureWarn resolves the warning threshold with serve's semantics
-// (0 = default 50000, negative = disabled).
-func (f *Fleet) exposureWarn() int64 {
-	w := f.cfg.Serve.ExposureWarn
-	if w == 0 {
-		return 50000
-	}
-	return w
-}
-
 // verify replays a sampled request against a second live holder and
 // compares answer digests. Deterministic builds make replicas
 // bit-identical, so any mismatch is real corruption — counted, never
 // masked. Verification failures to reach a second holder are skipped;
 // this is sampling, not a quorum.
-func (f *Fleet) verify(path string, p *pub, primary int, hdr http.Header, reqBody, primaryBody []byte) {
+func (f *Fleet) verify(path string, rr *routed, primary int, primaryBody []byte) {
 	want, ok := answersDigest(path, primaryBody)
 	if !ok {
 		return
 	}
-	for _, h := range p.holders {
+	for _, h := range rr.p.holders {
 		rep := f.replicas[h]
 		if h == primary || !rep.alive.Load() || rep.state.Load() != stateHealthy {
 			continue
 		}
-		vh := make(http.Header, len(hdr)+1)
-		for k, vs := range hdr {
-			vh[k] = vs
-		}
+		vh := rr.hdr.Clone()
 		vh.Set("X-Fleet-Verify", "1")
 		rep.inflight.Add(1)
 		ctx, cancel := context.WithTimeout(context.Background(), f.cfg.Timeout)
-		resp, err := rep.do(ctx, http.MethodPost, path, vh, reqBody)
+		resp, err := rep.do(ctx, http.MethodPost, path, vh, rr.body)
 		cancel()
 		rep.inflight.Add(-1)
 		if err != nil || resp.status != http.StatusOK {
@@ -426,37 +409,56 @@ func (f *Fleet) verify(path string, p *pub, primary int, hdr http.Header, reqBod
 }
 
 // answersDigest fingerprints the replica-determined content of a routed
-// response — counts and estimates for /query, sizes and frequency maps for
-// /reconstruct — excluding router-owned fields (client_queries, timing).
-// Verification replays the original request body, so both digests of a pair
-// are computed from the same encoding; for /query the binary digest folds
-// the very words the JSON one does, making it stable across encodings too
-// (the /reconstruct encodings key frequencies differently — labels against
-// dense value codes — so only same-encoding pairs compare there).
+// response in either encoding — counts and estimates for /query, sizes and
+// frequencies for /reconstruct — excluding router-owned fields
+// (client_queries, timing). Verification replays the original request
+// body, so both digests of a pair come from the same encoding; /query
+// folds the same words from either encoding, while /reconstruct keys
+// frequencies by label in JSON and by dense value code in frames.
 func answersDigest(path string, body []byte) (uint64, bool) {
-	if wire.IsFrame(body) {
-		return binaryAnswersDigest(path, body)
-	}
 	d := stats.NewDigest()
-	switch path {
-	case "/query":
+	answer := func(count int64, est float64, err string) {
+		d.Word(uint64(count))
+		d.Word(math.Float64bits(est))
+		d.Word(fnv64(err))
+	}
+	frame := wire.IsFrame(body)
+	switch {
+	case path == "/query" && frame:
+		var qr wire.QueryResp
+		if qr.Decode(body) != nil {
+			return 0, false
+		}
+		for _, a := range qr.Answers {
+			answer(a.Count, a.Estimate, string(a.Err))
+		}
+	case path == "/query":
 		var qr serve.QueryResponse
 		if json.Unmarshal(body, &qr) != nil {
 			return 0, false
 		}
-		for i := range qr.Answers {
-			a := &qr.Answers[i]
-			d.Word(uint64(a.Count))
-			d.Word(math.Float64bits(a.Estimate))
-			d.Word(fnv64(a.Error))
+		for _, a := range qr.Answers {
+			answer(int64(a.Count), a.Estimate, a.Error)
 		}
-	case "/reconstruct":
+	case path == "/reconstruct" && frame:
+		var rr wire.ReconstructResp
+		if rr.Decode(body) != nil {
+			return 0, false
+		}
+		for _, res := range rr.Results {
+			d.Word(uint64(res.Size))
+			for v, freq := range res.Freqs {
+				d.Word(uint64(v))
+				d.Word(math.Float64bits(freq))
+			}
+			d.Word(fnv64(string(res.Err)))
+		}
+	case path == "/reconstruct":
 		var rr serve.ReconstructResponse
 		if json.Unmarshal(body, &rr) != nil {
 			return 0, false
 		}
-		for i := range rr.Results {
-			res := &rr.Results[i]
+		for _, res := range rr.Results {
 			d.Word(uint64(res.Size))
 			keys := make([]string, 0, len(res.Freqs))
 			for k := range res.Freqs {
@@ -468,41 +470,6 @@ func answersDigest(path string, body []byte) (uint64, bool) {
 				d.Word(math.Float64bits(res.Freqs[k]))
 			}
 			d.Word(fnv64(res.Error))
-		}
-	default:
-		return 0, false
-	}
-	return d.Sum64(), true
-}
-
-// binaryAnswersDigest is the wire-frame arm of answersDigest.
-func binaryAnswersDigest(path string, body []byte) (uint64, bool) {
-	d := stats.NewDigest()
-	switch path {
-	case "/query":
-		var qr wire.QueryResp
-		if qr.Decode(body) != nil {
-			return 0, false
-		}
-		for i := range qr.Answers {
-			a := &qr.Answers[i]
-			d.Word(uint64(a.Count))
-			d.Word(math.Float64bits(a.Estimate))
-			d.Word(fnv64(string(a.Err)))
-		}
-	case "/reconstruct":
-		var rr wire.ReconstructResp
-		if rr.Decode(body) != nil {
-			return 0, false
-		}
-		for i := range rr.Results {
-			res := &rr.Results[i]
-			d.Word(uint64(res.Size))
-			for v, freq := range res.Freqs {
-				d.Word(uint64(v))
-				d.Word(math.Float64bits(freq))
-			}
-			d.Word(fnv64(string(res.Err)))
 		}
 	default:
 		return 0, false
@@ -549,13 +516,8 @@ func emit(w http.ResponseWriter, resp *response) {
 
 func (f *Fleet) handlePublish(w http.ResponseWriter, r *http.Request) {
 	f.requests.Add(1)
-	if r.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, serve.CodeMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
 	var req serve.PublishRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad request body: %v", err))
+	if !serve.DecodeJSON(w, r, &req) {
 		return
 	}
 	id, err := f.Publish(req)
@@ -563,18 +525,15 @@ func (f *Fleet) handlePublish(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, f.pubView(id))
+	serve.WriteJSON(w, http.StatusOK, f.pubView(id))
 }
 
 func (f *Fleet) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	f.requests.Add(1)
-	if r.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, serve.CodeMethodNotAllowed, fmt.Errorf("use POST"))
-		return
+	var req struct {
+		ID string `json:"id"`
 	}
-	var req requestHead
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad request body: %v", err))
+	if !serve.DecodeJSON(w, r, &req) {
 		return
 	}
 	if f.lookup(req.ID) == nil {
@@ -585,7 +544,7 @@ func (f *Fleet) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusInternalServerError, serve.CodeInternal, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, f.pubView(req.ID))
+	serve.WriteJSON(w, http.StatusOK, f.pubView(req.ID))
 }
 
 // handleInsert routes one insert batch. Inserts mutate replica state, so
@@ -599,31 +558,8 @@ func (f *Fleet) handleRefresh(w http.ResponseWriter, r *http.Request) {
 // response is relayed as-is.
 func (f *Fleet) handleInsert(w http.ResponseWriter, r *http.Request) {
 	f.requests.Add(1)
-	if r.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, serve.CodeMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("reading body: %v", err))
-		return
-	}
-	var head requestHead
-	binary := r.Header.Get("Content-Type") == wire.ContentType
-	if binary {
-		h, err := wire.PeekHead(body)
-		if err != nil {
-			serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad binary frame: %w", err))
-			return
-		}
-		head = requestHead{ID: string(h.ID), Client: string(h.Client)}
-	} else if err := json.Unmarshal(body, &head); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("bad request body: %v", err))
-		return
-	}
-	p := f.lookup(head.ID)
-	if p == nil {
-		serve.WriteError(w, http.StatusNotFound, serve.CodeNotFound, fmt.Errorf("no publication %q", head.ID))
+	rr := f.readRouted(w, r)
+	if rr == nil {
 		return
 	}
 
@@ -637,13 +573,7 @@ func (f *Fleet) handleInsert(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	hdr := make(http.Header, 1)
-	if binary {
-		hdr.Set("Content-Type", wire.ContentType)
-	} else {
-		hdr.Set("Content-Type", "application/json")
-	}
-
+	p := rr.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var first *response
@@ -658,7 +588,7 @@ func (f *Fleet) handleInsert(w http.ResponseWriter, r *http.Request) {
 		}
 		rep.inflight.Add(1)
 		ctx, cancel := context.WithTimeout(r.Context(), f.cfg.Timeout)
-		resp, err := rep.do(ctx, http.MethodPost, "/insert", hdr, body)
+		resp, err := rep.do(ctx, http.MethodPost, "/insert", rr.hdr, rr.body)
 		cancel()
 		rep.inflight.Add(-1)
 		if err != nil {
@@ -685,7 +615,7 @@ func (f *Fleet) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if first == nil {
 		f.unavailable.Add(1)
 		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeUnavailable,
-			fmt.Errorf("no live holder of %q accepted the insert (last: %s)", head.ID, lastErr))
+			fmt.Errorf("no live holder of %q accepted the insert (last: %s)", rr.id, lastErr))
 		return
 	}
 	// Live holders that failed at the transport level missed a batch that is
@@ -694,9 +624,9 @@ func (f *Fleet) handleInsert(w http.ResponseWriter, r *http.Request) {
 	for _, h := range missed {
 		p.markStale(h)
 	}
-	p.log = append(p.log, mutation{body: body, binary: binary})
+	p.log = append(p.log, mutation{body: rr.body, binary: rr.binary})
 	f.insertsRouted.Add(1)
-	f.maybeCheckpoint(head.ID, p)
+	f.maybeCheckpoint(rr.id, p)
 	if idemKey != "" {
 		f.idemPut(idemKey, first)
 	}
@@ -745,7 +675,7 @@ func (f *Fleet) handlePublications(w http.ResponseWriter, r *http.Request) {
 	for _, id := range ids {
 		out = append(out, f.pubView(id))
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -757,7 +687,7 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if st.Alive == 0 {
 		status = "down"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   status,
 		"alive":    st.Alive,
 		"replicas": st.Replicas,
@@ -765,13 +695,5 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *Fleet) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, f.Stats())
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	serve.WriteJSON(w, http.StatusOK, f.Stats())
 }

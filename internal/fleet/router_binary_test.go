@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -198,5 +199,56 @@ func TestRoutedBinaryErrors(t *testing.T) {
 	}
 	if resp.ClientQueries != 3 {
 		t.Fatalf("replayed exposure %d, want 3 (no double charge)", resp.ClientQueries)
+	}
+}
+
+// TestRoutedBodyErrors pins one body-reader contract on both surfaces, the
+// single server and the router, in both encodings: a body with bytes after
+// the request is a 400, and a body past serve.MaxBodyBytes is a 413.
+func TestRoutedBodyErrors(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	f := New(Config{Replicas: 2, ReplicationFactor: 2})
+	id, err := f.Publish(testPublish(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := srv.Publish(testPublish(1), true); err != nil {
+		t.Fatal(err)
+	}
+	jsonBody, err := json.Marshal(condQueryBody(id, "c", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Zeroed pages: the oversized body costs the client no resident memory.
+	huge := make([]byte, serve.MaxBodyBytes+1)
+	cases := []struct {
+		name string
+		ct   string
+		body []byte
+		want int
+		code serve.ErrorCode
+	}{
+		{"json trailing bytes", "application/json", append(jsonBody, []byte(` {"id":"x"}`)...), http.StatusBadRequest, serve.CodeBadRequest},
+		{"binary trailing bytes", wire.ContentType, append(binaryQueryFrame(id, "c", 1), 0xEE), http.StatusBadRequest, serve.CodeBadRequest},
+		{"json over-limit body", "application/json", huge, http.StatusRequestEntityTooLarge, serve.CodeTooLarge},
+		{"binary over-limit body", wire.ContentType, huge, http.StatusRequestEntityTooLarge, serve.CodeTooLarge},
+	}
+	for _, tc := range cases {
+		for _, s := range []struct {
+			name string
+			h    http.Handler
+		}{{"serve", srv.Handler()}, {"fleet", f.Handler()}} {
+			req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(tc.body))
+			req.Header.Set("Content-Type", tc.ct)
+			w := httptest.NewRecorder()
+			s.h.ServeHTTP(w, req)
+			if w.Code != tc.want {
+				t.Errorf("%s on %s: status %d, want %d (%s)", tc.name, s.name, w.Code, tc.want, w.Body.Bytes())
+				continue
+			}
+			if got := serve.DecodeErrorCode(w.Code, w.Body.Bytes()); got != tc.code {
+				t.Errorf("%s on %s: code %q, want %q", tc.name, s.name, got, tc.code)
+			}
+		}
 	}
 }

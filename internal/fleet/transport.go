@@ -157,7 +157,7 @@ func (t *httpTransport) do(ctx context.Context, method, path string, header http
 		return nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, serve.MaxBodyBytes))
 	if err != nil {
 		return nil, err
 	}

@@ -6,150 +6,15 @@ import (
 	"strings"
 	"time"
 
-	"github.com/reconpriv/reconpriv/internal/budget"
 	"github.com/reconpriv/reconpriv/internal/core"
 	"github.com/reconpriv/reconpriv/internal/dataset"
-	"github.com/reconpriv/reconpriv/internal/par"
-	"github.com/reconpriv/reconpriv/internal/query"
-	"github.com/reconpriv/reconpriv/internal/reconstruct"
 )
 
-// This file is the served adversary surface: POST /reconstruct answers
-// batched full-distribution reconstructions through the publication's
-// engine, and POST /audit runs the parallel per-group privacy audit the
-// paper's criterion is defined against. Both read only immutable
-// publication state, so they never contend with queries or publishes.
-
-// reconstructRequest is the body of POST /reconstruct.
-type reconstructRequest struct {
-	ID string `json:"id"`
-	// Client identifies the reconstructing party for exposure accounting
-	// (X-Client-ID header takes precedence, remote IP is the fallback).
-	Client string `json:"client,omitempty"`
-	// Subsets are the condition sets to reconstruct over, one result each.
-	Subsets [][]CondJSON `json:"subsets"`
-	// Clamp projects every estimate onto the probability simplex (negative
-	// entries floored at 0, renormalized); the raw unbiased MLE is the
-	// default.
-	Clamp bool `json:"clamp,omitempty"`
-	// Wait blocks until a pending publication is ready instead of failing
-	// with 409.
-	Wait bool `json:"wait,omitempty"`
-}
-
-// Reconstruction is one subset's served reconstruction. Exported (with
-// ReconstructResponse) so routing layers like internal/fleet can decode,
-// verify, and re-emit the body without a private mirror.
-type Reconstruction struct {
-	// Size is the observed subset size |S*|; 0 with no freqs means the
-	// subset is empty.
-	Size int `json:"size"`
-	// Freqs is the estimated sensitive-value distribution keyed by label.
-	Freqs map[string]float64 `json:"freqs,omitempty"`
-	Error string             `json:"error,omitempty"`
-}
-
-// ReconstructResponse is the body of a successful POST /reconstruct.
-type ReconstructResponse struct {
-	ID      string           `json:"id"`
-	Results []Reconstruction `json:"results"`
-	Client  string           `json:"client"`
-	// Charged is the exposure charge of this batch alone (subsets × the
-	// sensitive-attribute domain size); ClientQueries is the client's
-	// cumulative exposure after it: every reconstruction reveals the
-	// subset's full m-value histogram, so it is charged as m count queries.
-	Charged       int64 `json:"charged"`
-	ClientQueries int64 `json:"client_queries"`
-	// BudgetRemaining is the window budget left after this charge, -1 when
-	// enforcement is disabled; BudgetExact says whether the counts are exact
-	// rather than sketch upper bounds.
-	BudgetRemaining int64 `json:"budget_remaining"`
-	BudgetExact     bool  `json:"budget_exact,omitempty"`
-	ExposureWarning bool  `json:"exposure_warning,omitempty"`
-	ServeMicros     int64 `json:"serve_us"`
-}
-
-func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
-	if isBinary(r) {
-		s.handleReconstructBinary(w, r)
-		return
-	}
-	start := time.Now()
-	var req reconstructRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if len(req.Subsets) == 0 {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("empty subset batch"))
-		return
-	}
-	if len(req.Subsets) > s.cfg.MaxBatch {
-		WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			fmt.Errorf("batch of %d exceeds the limit %d", len(req.Subsets), s.cfg.MaxBatch))
-		return
-	}
-	pub, ok := s.resolvePublication(w, req.ID, req.Wait, true)
-	if !ok {
-		return
-	}
-	// Charge before evaluating. Reconstruction is the first class shed as a
-	// client nears quota — the batch reveals subsets × m histogram cells.
-	client := clientID(r, req.Client)
-	charged := int64(len(req.Subsets)) * int64(pub.Marg.SADomain())
-	bres, ok := s.chargeExposure(w, client, pub.ID, charged, budget.ClassReconstruct)
-	if !ok {
-		return
-	}
-
-	// Label resolution is striped across the evaluation width, mirroring
-	// the /query path: on large batches it costs as much as the engine
-	// lookups.
-	sets := make([][]query.Cond, len(req.Subsets))
-	resolveErr := make([]error, len(req.Subsets))
-	par.Striped(len(req.Subsets), s.cfg.QueryWorkers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sets[i], resolveErr[i] = pub.ResolveConds(req.Subsets[i])
-		}
-	})
-	recs := pub.Eng.ReconstructBatch(sets, reconstruct.BatchOptions{
-		Workers: s.cfg.QueryWorkers,
-		Clamp:   req.Clamp,
-	})
-
-	sa := pub.Orig.SAAttr()
-	out := ReconstructResponse{ID: pub.ID, Results: make([]Reconstruction, len(recs))}
-	var errs uint64
-	for i, rec := range recs {
-		rj := Reconstruction{Size: rec.Size}
-		switch {
-		case resolveErr[i] != nil:
-			rj = Reconstruction{Error: resolveErr[i].Error()}
-		case rec.Err != nil:
-			rj = Reconstruction{Error: rec.Err.Error()}
-		case rec.Freqs != nil:
-			rj.Freqs = make(map[string]float64, len(rec.Freqs))
-			for v, f := range rec.Freqs {
-				rj.Freqs[sa.Label(uint16(v))] = f
-			}
-		}
-		if rj.Error != "" {
-			errs++
-		}
-		out.Results[i] = rj
-	}
-
-	out.Client = client
-	out.Charged = charged
-	out.ClientQueries, out.BudgetRemaining, out.BudgetExact, out.ExposureWarning = s.ledgerValues(bres)
-
-	s.reconstructBatches.Add(1)
-	s.reconstructions.Add(uint64(len(req.Subsets)))
-	s.queryErrors.Add(errs)
-	elapsed := time.Since(start)
-	s.lat.Observe(elapsed)
-	out.ServeMicros = elapsed.Microseconds()
-	writeJSON(w, http.StatusOK, out)
-}
+// This file is the served audit surface: POST /audit runs the parallel
+// per-group privacy audit the paper's criterion is defined against, on
+// immutable publication state, so it never contends with queries or
+// publishes. The adversary's batched reconstructions, POST /reconstruct,
+// run on the batch core in batch.go.
 
 // Audit endpoint defaults and caps.
 const (
@@ -239,25 +104,25 @@ func auditCacheKey(pub *Publication, trials, maxGroups int, seed int64) string {
 
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	var req auditRequest
-	if !s.decode(w, r, &req) {
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.Trials == 0 {
 		req.Trials = defaultAuditTrials
 	}
 	if req.Trials < 1 || req.Trials > maxAuditTrials {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("trials must be in [1,%d], got %d", maxAuditTrials, req.Trials))
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("trials must be in [1,%d], got %d", maxAuditTrials, req.Trials))
 		return
 	}
 	if req.MaxGroups < 0 || req.MaxGroups > maxAuditGroups {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("max_groups must be in [0,%d], got %d", maxAuditGroups, req.MaxGroups))
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("max_groups must be in [0,%d], got %d", maxAuditGroups, req.MaxGroups))
 		return
 	}
 	if req.Top == 0 {
 		req.Top = defaultAuditTop
 	}
 	if req.Top < 0 || req.Top > maxAuditTop {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("top must be in [0,%d], got %d", maxAuditTop, req.Top))
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("top must be in [0,%d], got %d", maxAuditTop, req.Top))
 		return
 	}
 	if req.Seed == 0 {
@@ -301,7 +166,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		return &auditRun{res: res}, nil
 	})
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
 	run := v.(*auditRun)
@@ -322,7 +187,7 @@ func writeAudit(w http.ResponseWriter, res *auditResponse, cached bool, top int)
 	if top < len(out.Top) {
 		out.Top = out.Top[:top]
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // runAudit executes the parallel group sweep for one publication.

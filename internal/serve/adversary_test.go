@@ -11,6 +11,7 @@ import (
 
 	"github.com/reconpriv/reconpriv/internal/query"
 	"github.com/reconpriv/reconpriv/internal/reconstruct"
+	"github.com/reconpriv/reconpriv/internal/wire"
 )
 
 // publishMedical publishes the standard test publication and returns its
@@ -127,6 +128,26 @@ func TestServedReconstructValidation(t *testing.T) {
 	}
 	if code := post(t, ts.URL+"/reconstruct", reconstructRequest{ID: "pub-missing", Subsets: big.Subsets[:1]}, nil); code != http.StatusNotFound {
 		t.Errorf("unknown id returned %d", code)
+	}
+
+	// A subset that fails resolution is answered with its resolution error
+	// inside a 200, in either encoding, and its neighbour is unaffected.
+	var resp ReconstructResponse
+	post(t, ts.URL+"/reconstruct", reconstructRequest{ID: pub.ID, Subsets: [][]CondJSON{
+		{{Attr: "Gender", Value: "Male"}}, {{Attr: "Gender", Value: "Martian"}},
+	}}, &resp)
+	if len(resp.Results) != 2 || resp.Results[0].Error != "" || !strings.Contains(resp.Results[1].Error, `"Martian"`) {
+		t.Errorf("json per-subset results: %+v", resp.Results)
+	}
+	breq := wire.ReconstructReq{ID: []byte(pub.ID), Subsets: [][]wire.Cond{{{Attr: 0, Value: 0}}, {{Attr: 9, Value: 0}}}}
+	_, body, _ := postBinary(t, ts.URL+"/reconstruct", breq.Append(nil))
+	var bresp wire.ReconstructResp
+	if err := bresp.Decode(body); err != nil {
+		t.Fatalf("decoding binary response %q: %v", body, err)
+	}
+	if len(bresp.Results) != 2 || bresp.Results[0].Err != nil ||
+		!strings.Contains(string(bresp.Results[1].Err), "attribute index 9 out of range") {
+		t.Errorf("binary per-subset results: %+v", bresp.Results)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/reconpriv/reconpriv/internal/query"
@@ -304,6 +305,9 @@ func TestBinaryErrorPaths(t *testing.T) {
 			t.Fatalf("invalid query %d did not error", i)
 		}
 	}
+	if got := string(bresp.Answers[1].Err); !strings.Contains(got, "attribute index 9 out of range") {
+		t.Fatalf("out-of-range attribute answered %q, want its mapping error", got)
+	}
 	if st := s.Stats(); st.QueryErrors != 4 {
 		t.Fatalf("query errors %d, want 4", st.QueryErrors)
 	}
@@ -356,5 +360,58 @@ func TestBinaryExposureSharedWithJSON(t *testing.T) {
 	}
 	if string(bresp.Client) != "carol" {
 		t.Fatalf("binary response client %q", bresp.Client)
+	}
+}
+
+// discardWriter is a reusable http.ResponseWriter that drops the body, so
+// the allocation test below counts the handler's allocations alone.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// TestBinaryQueryHandlerAllocs pins the binary /query steady state through
+// Server.Handler(): with a reused request and a discarding writer, a batch
+// allocates at most a handful of times — none per query. The bounds are
+// per request, at one worker and at two (where the one fan-out adds its
+// goroutines).
+func TestBinaryQueryHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
+	}
+	for _, tc := range []struct {
+		workers int
+		max     float64
+	}{{1, 5}, {2, 16}} {
+		s := New(Config{QueryWorkers: tc.workers, BudgetQuota: -1})
+		e, _, err := s.Publish(medicalRequest(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := wire.QueryReq{ID: []byte(e.ID()), Client: []byte("alloc-client")}
+		for i := 0; i < 64; i++ {
+			req.Queries = append(req.Queries, wire.Query{SA: uint16(i % 10), Conds: []wire.Cond{{Attr: 1, Value: uint16(i % 5)}}})
+		}
+		frame := req.Append(nil)
+		body := bytes.NewReader(frame)
+		hr, err := http.NewRequest(http.MethodPost, "/query", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Header.Set("Content-Type", wire.ContentType)
+		hr.Body = io.NopCloser(body)
+		w := &discardWriter{h: make(http.Header)}
+		h := s.Handler()
+		run := func() {
+			body.Reset(frame)
+			h.ServeHTTP(w, hr)
+		}
+		for i := 0; i < 10; i++ {
+			run()
+		}
+		if got := testing.AllocsPerRun(200, run); got > tc.max {
+			t.Errorf("QueryWorkers %d: %v allocs per binary /query, want <= %v", tc.workers, got, tc.max)
+		}
 	}
 }

@@ -19,10 +19,15 @@
 //     dataset loading and marginal rebuilds).
 //   - Queries arrive in batches and are answered from the cached marginal
 //     cubes by a bounded worker pool — O(1) per query, no table scan
-//     (query.Marginals.AnswerBatch).
+//     (query.Marginals.AnswerBatchInto). /query, /reconstruct and /insert
+//     each run one core whatever the body encoding (batch.go): JSON labels
+//     and binary wire codes differ only in how the body is decoded, how
+//     items resolve to engine codes, and how the response is encoded.
 //   - Streamed records are absorbed into a served publication through
-//     core.Incremental without republishing; the marginal index is rebuilt
-//     lazily, at most once per dirty window, when the next query arrives.
+//     core.Incremental without republishing: each insert batch appends a
+//     small delta generation to the marginal index (ingest.go), and a
+//     background compaction folds the generation stack back into one flat
+//     index; answers and digests are identical at any cadence.
 //   - The server tracks per-client cumulative query counts. Linear
 //     reconstruction attacks (Kasiviswanathan, Rudelson, Smith et al.) grow
 //     stronger with every answered query, so operators get a per-client
@@ -40,15 +45,17 @@
 // counters, query throughput, and p50/p99 request latency from a lock-free
 // histogram (latency.go).
 //
-// HTTP surface (all bodies JSON):
+// HTTP surface (JSON bodies; the three batch endpoints marked * also
+// accept internal/wire frames sent as Content-Type application/x-rp-binary
+// and answer in kind; errors are always the JSON ErrorBody):
 //
 //	POST /publish       build-or-get a publication (async; id returned at once)
 //	GET  /publications  list cached publications and their metadata
-//	POST /query         answer a batch of count queries against one publication
-//	POST /reconstruct   batched SA-distribution reconstructions over condition sets
+//	POST /query       * answer a batch of count queries against one publication
+//	POST /reconstruct * batched SA-distribution reconstructions over condition sets
 //	POST /audit         parallel per-group privacy audit of a publication (cached)
 //	POST /refresh       republish the same key with a fresh RNG stream
-//	POST /insert        stream records into an incremental publication
+//	POST /insert      * stream records into an incremental publication
 //	POST /snapshot      checkpoint a publication (request + generation + stream state)
 //	POST /restore       install a checkpoint as a fresh publication (replica seeding)
 //	GET  /digest        publication digest + generation (replica-agreement probe)

@@ -84,7 +84,7 @@ func WriteError(w http.ResponseWriter, status int, code ErrorCode, err error) {
 		w.Header().Set("Retry-After", retryAfterSecs)
 	}
 	msg := err.Error()
-	writeJSON(w, status, ErrorBody{Code: code, Message: msg, Error: msg})
+	WriteJSON(w, status, ErrorBody{Code: code, Message: msg, Error: msg})
 }
 
 // WriteErrorRetryAfter is WriteError with a computed Retry-After instead of
@@ -99,7 +99,7 @@ func WriteErrorRetryAfter(w http.ResponseWriter, status int, code ErrorCode, err
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	msg := err.Error()
-	writeJSON(w, status, ErrorBody{Code: code, Message: msg, Error: msg})
+	WriteJSON(w, status, ErrorBody{Code: code, Message: msg, Error: msg})
 }
 
 // DecodeErrorCode extracts the typed code from an error response, falling
@@ -123,29 +123,6 @@ func DecodeErrorCode(status int, body []byte) ErrorCode {
 		return CodeOverloaded
 	case status == http.StatusServiceUnavailable:
 		return CodeUnavailable
-	case status >= 500:
-		return CodeInternal
-	default:
-		return CodeBadRequest
-	}
-}
-
-// httpError is the legacy single-argument writer: status-derived code. New
-// call sites should pass an explicit code via WriteError.
-func httpError(w http.ResponseWriter, status int, err error) {
-	WriteError(w, status, statusCode(status), err)
-}
-
-// statusCode maps a bare HTTP status onto the taxonomy for call sites that
-// have no more specific classification.
-func statusCode(status int) ErrorCode {
-	switch {
-	case status == http.StatusNotFound:
-		return CodeNotFound
-	case status == http.StatusMethodNotAllowed:
-		return CodeMethodNotAllowed
-	case status == http.StatusRequestEntityTooLarge:
-		return CodeTooLarge
 	case status >= 500:
 		return CodeInternal
 	default:

@@ -60,7 +60,8 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestMethodNotAllowed covers the decode() gate shared by every POST handler.
+// TestMethodNotAllowed covers the ReadBody method gate shared by every POST
+// handler.
 func TestMethodNotAllowed(t *testing.T) {
 	_, ts := startServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/query")

@@ -30,9 +30,8 @@ import (
 // unobservable everywhere except the /statsz compactions counter.
 
 // applyInsert ingests one resolved batch (keys in NAIndices order, sensitive
-// codes aligned) and extends the served index. It is the shared core of the
-// JSON and binary /insert handlers; the returned response has every field
-// set except ID. On error the batch may be partially ingested — the entry is
+// codes aligned) and extends the served index. handleInsert calls it for
+// either encoding; the returned response has every field set except ID. On error the batch may be partially ingested — the entry is
 // flagged dirty so the reconciliation path republishes a consistent index.
 func (s *Server) applyInsert(e *Entry, keys [][]uint16, sas []uint16) (insertResponse, error) {
 	var resp insertResponse

@@ -14,8 +14,6 @@ import (
 
 	"github.com/reconpriv/reconpriv/internal/budget"
 	"github.com/reconpriv/reconpriv/internal/dataset"
-	"github.com/reconpriv/reconpriv/internal/par"
-	"github.com/reconpriv/reconpriv/internal/query"
 )
 
 // Config tunes the server; the zero value is fully usable.
@@ -95,7 +93,9 @@ type Config struct {
 	// harnesses like internal/sim can compare whole responses byte for
 	// byte. nil means time.Now. Request latency measurement is deliberately
 	// not routed through it — latency histograms measure real elapsed time.
-	Clock func() time.Time
+	// A function cannot cross a process boundary, so the Config a fleet
+	// hands a spawned replica as JSON leaves it behind.
+	Clock func() time.Time `json:"-"`
 }
 
 // withDefaults resolves zero fields.
@@ -122,7 +122,7 @@ func (c Config) withDefaults() Config {
 		c.CompactEvery = 8
 	}
 	if c.ExposureWarn == 0 {
-		c.ExposureWarn = 50000
+		c.ExposureWarn = defaultExposureWarn
 	}
 	if c.MaxPublications <= 0 {
 		c.MaxPublications = 1024
@@ -191,17 +191,23 @@ func New(cfg Config) *Server {
 	s.start = s.now()
 	s.reg = newRegistry(s.cfg.Shards)
 	s.tables.m = make(map[string]*dataset.Table)
-	s.budget = budget.New(budget.Config{
-		Quota:            s.cfg.BudgetQuota,
-		TrustedQuota:     s.cfg.BudgetTrustedQuota,
-		Trusted:          s.cfg.BudgetTrusted,
-		PublicationQuota: s.cfg.BudgetPublicationQuota,
-		Window:           s.cfg.BudgetWindow,
-		SoftFraction:     s.cfg.BudgetSoftFraction,
-		MaxTracked:       s.cfg.BudgetMaxTracked,
-		Clock:            s.cfg.Clock,
-	})
+	s.budget = budget.New(s.cfg.Budget())
 	return s
+}
+
+// Budget is the exposure budget manager configuration the Budget* fields
+// (and Clock) describe — the server's own ledger, and the fleet router's.
+func (c Config) Budget() budget.Config {
+	return budget.Config{
+		Quota:            c.BudgetQuota,
+		TrustedQuota:     c.BudgetTrustedQuota,
+		Trusted:          c.BudgetTrusted,
+		PublicationQuota: c.BudgetPublicationQuota,
+		Window:           c.BudgetWindow,
+		SoftFraction:     c.BudgetSoftFraction,
+		MaxTracked:       c.BudgetMaxTracked,
+		Clock:            c.Clock,
+	}
 }
 
 // Budget exposes the server's budget manager; the fleet router uses it to
@@ -457,7 +463,7 @@ func entryJSON(e *Entry, withDomains bool) publicationJSON {
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	var req PublishRequest
-	if !s.decode(w, r, &req) {
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	e, started, err := s.Publish(req, req.Wait)
@@ -475,7 +481,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	if e.state.Load() == statePending {
 		code = http.StatusAccepted
 	}
-	writeJSON(w, code, out)
+	WriteJSON(w, code, out)
 }
 
 func (s *Server) handlePublications(w http.ResponseWriter, r *http.Request) {
@@ -490,7 +496,7 @@ func (s *Server) handlePublications(w http.ResponseWriter, r *http.Request) {
 			WriteError(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("no publication %q", id))
 			return
 		}
-		writeJSON(w, http.StatusOK, entryJSON(e, withDomains))
+		WriteJSON(w, http.StatusOK, entryJSON(e, withDomains))
 		return
 	}
 	entries := s.reg.list()
@@ -498,121 +504,7 @@ func (s *Server) handlePublications(w http.ResponseWriter, r *http.Request) {
 	for _, e := range entries {
 		out = append(out, entryJSON(e, withDomains))
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// queryRequest is the body of POST /query.
-type queryRequest struct {
-	ID string `json:"id"`
-	// Client identifies the querying party for exposure accounting;
-	// the X-Client-ID header takes precedence, the remote IP is the
-	// fallback.
-	Client  string      `json:"client,omitempty"`
-	Queries []QueryJSON `json:"queries"`
-	// Wait blocks until a pending publication is ready instead of failing
-	// with 409.
-	Wait bool `json:"wait,omitempty"`
-}
-
-// QueryAnswer is one query's served answer. Exported (with QueryResponse)
-// so routing layers like internal/fleet can decode, verify, and re-emit the
-// body without a private mirror.
-type QueryAnswer struct {
-	Count    int     `json:"count"`
-	Estimate float64 `json:"estimate"`
-	Error    string  `json:"error,omitempty"`
-}
-
-// QueryResponse is the body of a successful POST /query.
-type QueryResponse struct {
-	ID      string        `json:"id"`
-	Answers []QueryAnswer `json:"answers"`
-	Client  string        `json:"client"`
-	// Charged is the exposure charge of this batch alone — the amount added
-	// to the client's ledger, as opposed to ClientQueries, the cumulative
-	// total. Routing layers that keep their own authoritative ledger charge
-	// exactly this once per logical request, however many replica attempts
-	// it took.
-	Charged       int64 `json:"charged"`
-	ClientQueries int64 `json:"client_queries"`
-	// BudgetRemaining is the window budget left after this charge, -1 when
-	// enforcement is disabled. BudgetExact says whether the budget counts
-	// are exact (tracked client) rather than sketch upper bounds.
-	BudgetRemaining int64 `json:"budget_remaining"`
-	BudgetExact     bool  `json:"budget_exact,omitempty"`
-	ExposureWarning bool  `json:"exposure_warning,omitempty"`
-	ServeMicros     int64 `json:"serve_us"`
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if isBinary(r) {
-		s.handleQueryBinary(w, r)
-		return
-	}
-	start := time.Now()
-	var req queryRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if len(req.Queries) == 0 {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("empty query batch"))
-		return
-	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			fmt.Errorf("batch of %d exceeds the limit %d", len(req.Queries), s.cfg.MaxBatch))
-		return
-	}
-	pub, ok := s.resolvePublication(w, req.ID, req.Wait, true)
-	if !ok {
-		return
-	}
-	// Charge before evaluating: a budget rejection must not pay for the
-	// work it refuses, and nothing after this point can fail the request.
-	client := clientID(r, req.Client)
-	bres, ok := s.chargeExposure(w, client, pub.ID, int64(len(req.Queries)), budget.ClassQuery)
-	if !ok {
-		return
-	}
-
-	// Resolution is striped across the same worker width as evaluation: on
-	// large batches the label→code translation costs as much as the cube
-	// lookups, so it must not run single-threaded in front of the pool.
-	qs := make([]query.Query, len(req.Queries))
-	resolveErr := make([]error, len(req.Queries))
-	par.Striped(len(req.Queries), s.cfg.QueryWorkers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			qs[i], resolveErr[i] = pub.Resolve(req.Queries[i])
-		}
-	})
-	answers := pub.Marg.AnswerBatch(qs, pub.Req.P, s.cfg.QueryWorkers)
-
-	out := QueryResponse{ID: pub.ID, Answers: make([]QueryAnswer, len(answers))}
-	var errs uint64
-	for i, a := range answers {
-		aj := QueryAnswer{Count: a.Count, Estimate: a.Estimate}
-		if resolveErr[i] != nil {
-			aj = QueryAnswer{Error: resolveErr[i].Error()}
-		} else if a.Err != nil {
-			aj = QueryAnswer{Error: a.Err.Error()}
-		}
-		if aj.Error != "" {
-			errs++
-		}
-		out.Answers[i] = aj
-	}
-
-	out.Client = client
-	out.Charged = int64(len(req.Queries))
-	s.fillLedger(&out, bres)
-
-	s.queryBatches.Add(1)
-	s.queriesAnswered.Add(uint64(len(req.Queries)))
-	s.queryErrors.Add(errs)
-	elapsed := time.Since(start)
-	s.lat.Observe(elapsed)
-	out.ServeMicros = elapsed.Microseconds()
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // resolvePublication loads the ready publication behind id, handling the
@@ -668,25 +560,25 @@ type refreshRequest struct {
 
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	var req refreshRequest
-	if !s.decode(w, r, &req) {
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	e := s.reg.get(req.ID)
 	if e == nil {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no publication %q", req.ID))
+		WriteError(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("no publication %q", req.ID))
 		return
 	}
 	if req.Wait {
 		if _, err := s.Refresh(req.ID); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, CodeInternal, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, entryJSON(e, false))
+		WriteJSON(w, http.StatusOK, entryJSON(e, false))
 		return
 	}
 	s.refreshes.Add(1)
 	go s.sf.Do("refresh:"+req.ID, s.refreshRun(e, req.ID))
-	writeJSON(w, http.StatusAccepted, entryJSON(e, false))
+	WriteJSON(w, http.StatusAccepted, entryJSON(e, false))
 }
 
 // Refresh republishes the publication behind id with a fresh generation and
@@ -759,100 +651,8 @@ func (s *Server) refreshRun(e *Entry, id string) func() (any, error) {
 	}
 }
 
-// insertRequest is the body of POST /insert: records as attribute → value
-// label objects over the publication's original schema (all public
-// attributes plus the sensitive attribute are required).
-type insertRequest struct {
-	ID      string              `json:"id"`
-	Records []map[string]string `json:"records"`
-	Wait    bool                `json:"wait,omitempty"`
-}
-
-type insertResponse struct {
-	ID       string `json:"id"`
-	Inserted int    `json:"inserted"`
-	// Trials counts records published by spending a fresh perturbation
-	// trial; Absorbed counts records folded in by duplicating an existing
-	// perturbed record — no new trial, the streaming analogue of Scaling.
-	Trials       int `json:"trials"`
-	Absorbed     int `json:"absorbed"`
-	TotalRecords int `json:"total_records"`
-}
-
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if isBinary(r) {
-		s.handleInsertBinary(w, r)
-		return
-	}
-	var req insertRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if len(req.Records) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("no records"))
-		return
-	}
-	if len(req.Records) > s.cfg.MaxInsert {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("insert of %d exceeds the limit %d", len(req.Records), s.cfg.MaxInsert))
-		return
-	}
-	pub, ok := s.resolvePublication(w, req.ID, req.Wait, false)
-	if !ok {
-		return
-	}
-	e := s.reg.get(req.ID)
-	if e.inc == nil {
-		WriteError(w, http.StatusConflict, CodeNotIncremental,
-			fmt.Errorf("publication %q was published with method %q; only incremental publications accept inserts", req.ID, pub.Req.Method))
-		return
-	}
-	schema := pub.Orig
-	naIdx := schema.NAIndices()
-	keys := make([][]uint16, 0, len(req.Records))
-	sas := make([]uint16, 0, len(req.Records))
-	for ri, rec := range req.Records {
-		key := make([]uint16, len(naIdx))
-		for ki, ai := range naIdx {
-			label, ok := rec[schema.Attrs[ai].Name]
-			if !ok {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("record %d: missing attribute %q", ri, schema.Attrs[ai].Name))
-				return
-			}
-			code, err := schema.Attrs[ai].Code(label)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("record %d: %v", ri, err))
-				return
-			}
-			key[ki] = code
-		}
-		label, ok := rec[schema.SAAttr().Name]
-		if !ok {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("record %d: missing sensitive attribute %q", ri, schema.SAAttr().Name))
-			return
-		}
-		sa, err := schema.SAAttr().Code(label)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("record %d: %v", ri, err))
-			return
-		}
-		keys = append(keys, key)
-		sas = append(sas, sa)
-	}
-
-	resp, err := s.applyInsert(e, keys, sas)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp.ID = req.ID
-	s.inserts.Add(uint64(resp.Inserted))
-	s.absorbed.Add(uint64(resp.Absorbed))
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": s.now().Sub(s.start).Seconds(),
 	})
@@ -1044,7 +844,7 @@ func (s *Server) ClientExposure(client string) int64 {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 // --- exposure accounting ---
@@ -1080,44 +880,12 @@ func (s *Server) chargeExposure(w http.ResponseWriter, client, pubID string, n i
 	return res, false
 }
 
-// ledgerValues converts a budget charge result into the response ledger
-// numbers: the cumulative client total, the remaining window budget (-1 when
-// enforcement is disabled), whether those figures are exact or sketch upper
-// bounds, and whether the total crossed the operator warning threshold.
-func (s *Server) ledgerValues(res budget.Result) (total, remaining int64, exact, warn bool) {
-	total = res.Total
-	remaining = res.Remaining
-	if remaining == budget.Unlimited {
-		remaining = -1
-	}
-	return total, remaining, res.Exact, s.cfg.ExposureWarn > 0 && total > s.cfg.ExposureWarn
-}
-
-// fillLedger copies a budget charge result into a query response.
-func (s *Server) fillLedger(out *QueryResponse, res budget.Result) {
-	out.ClientQueries, out.BudgetRemaining, out.BudgetExact, out.ExposureWarning = s.ledgerValues(res)
-}
-
 // --- JSON plumbing ---
 
-// maxBodyBytes bounds request bodies (a 100K-record insert of wide labels
-// fits comfortably).
-const maxBodyBytes = 64 << 20
-
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(dst); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON renders v as the indented JSON body of a response with the
+// given status — every JSON body either surface emits, the fleet router's
+// included.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)

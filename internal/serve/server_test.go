@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -531,9 +532,29 @@ func TestExposureAccounting(t *testing.T) {
 	}
 	// A different client starts from zero.
 	var other QueryResponse
-	post(t, ts.URL+"/query", queryRequest{ID: e.ID(), Client: "bob", Queries: batch}, &other)
+	req := httptest.NewRequest(http.MethodPost, "/query", jsonBody(t, queryRequest{ID: e.ID(), Client: "bob", Queries: batch}))
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	if err := json.Unmarshal(w.Body.Bytes(), &other); err != nil {
+		t.Fatal(err)
+	}
 	if other.ClientQueries != 6 || other.ExposureWarning {
 		t.Fatalf("bob after 6 queries: %+v", other)
+	}
+
+	// Decoded bodies live in pooled scratch: a body that names no client,
+	// served right after bob's, is charged to the caller's address, and its
+	// condition-less query inherits none of bob's conditions.
+	req = httptest.NewRequest(http.MethodPost, "/query",
+		strings.NewReader(`{"id":"`+e.ID()+`","queries":[{"sa":"Flu"}]}`))
+	w = httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	var anon QueryResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &anon); err != nil {
+		t.Fatalf("decoding %q: %v", w.Body.Bytes(), err)
+	}
+	if anon.Client != "192.0.2.1" || len(anon.Answers) != 1 || anon.Answers[0].Error == "" {
+		t.Fatalf("client-less, condition-less batch answered %+v", anon)
 	}
 }
 
@@ -548,7 +569,7 @@ func TestRequestValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		url  string
-		body any
+		body any // marshaled to JSON; a []byte is served verbatim, in process
 		want int
 	}{
 		{"unknown dataset", ts.URL + "/publish", PublishRequest{Dataset: "nope"}, http.StatusBadRequest},
@@ -560,9 +581,26 @@ func TestRequestValidation(t *testing.T) {
 		{"oversized batch", ts.URL + "/query", queryRequest{ID: e.ID(), Queries: make([]QueryJSON, 5)}, http.StatusRequestEntityTooLarge},
 		{"missing refresh target", ts.URL + "/refresh", refreshRequest{ID: "pub-none"}, http.StatusNotFound},
 		{"insert without records", ts.URL + "/insert", insertRequest{ID: e.ID()}, http.StatusBadRequest},
+		// One bounded reader serves every body: a valid object followed by
+		// more bytes is malformed, and a body past MaxBodyBytes is 413.
+		{"trailing bytes", ts.URL + "/query",
+			[]byte(`{"id":"` + e.ID() + `","queries":[{"sa":"Flu"}]} {}`), http.StatusBadRequest},
+		{"over-limit body", ts.URL + "/query", make([]byte, MaxBodyBytes+1), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
-		if code := post(t, tc.url, tc.body, nil); code != tc.want {
+		var code int
+		if raw, ok := tc.body.([]byte); ok {
+			// In process: a socket peer may reset a client still writing
+			// the body the server has already refused.
+			req := httptest.NewRequest(http.MethodPost, tc.url, bytes.NewReader(raw))
+			req.Header.Set("Content-Type", "application/json")
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, req)
+			code = w.Code
+		} else {
+			code = post(t, tc.url, tc.body, nil)
+		}
+		if code != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, code, tc.want)
 		}
 	}
@@ -579,6 +617,11 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if resp.Answers[1].Error == "" || resp.Answers[2].Error == "" {
 		t.Fatalf("invalid queries did not error: %+v", resp.Answers[1:])
+	}
+	// The answer carries the resolution error, not the evaluator's error
+	// for the zero query a failed resolution leaves behind.
+	if !strings.Contains(resp.Answers[1].Error, `"Astronaut"`) {
+		t.Fatalf("unknown label answered %q, want its resolution error", resp.Answers[1].Error)
 	}
 
 	// GET endpoints exist and respond.

@@ -156,7 +156,7 @@ type snapshotRequest struct {
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	var req snapshotRequest
-	if !s.decode(w, r, &req) {
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	snap, err := s.SnapshotPublication(req.ID)
@@ -164,12 +164,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, CodeNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, snap)
+	WriteJSON(w, http.StatusOK, snap)
 }
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	var snap PublicationSnapshot
-	if !s.decode(w, r, &snap) {
+	if !DecodeJSON(w, r, &snap) {
 		return
 	}
 	e, err := s.RestorePublication(&snap)
@@ -177,7 +177,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, entryJSON(e, false))
+	WriteJSON(w, http.StatusOK, entryJSON(e, false))
 }
 
 // digestResponse is the body of GET /digest — the replica-agreement probe
@@ -204,5 +204,5 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, digestResponse{ID: pub.ID, Generation: pub.Generation, Digest: pub.Digest()})
+	WriteJSON(w, http.StatusOK, digestResponse{ID: pub.ID, Generation: pub.Generation, Digest: pub.Digest()})
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/reconpriv/reconpriv/internal/bounds"
@@ -14,7 +16,10 @@ import (
 // TestSimScenarios is the tier-1 simulation gate: every built-in scenario
 // runs at small scale under a fixed seed, must finish with zero invariant
 // violations, and must produce byte-identical summaries on a second run —
-// the reproducibility contract rpsim relies on. The churn scenario doubles
+// the reproducibility contract rpsim relies on — that also match the
+// committed golden (testdata/<scenario>.golden.json, rpsim's stdout for
+// `go run ./cmd/rpsim -scenario <name> -seed 1 -clients 4 -steps 6`), so a
+// change that moves any summary byte shows up here. The churn scenario doubles
 // as the concurrency stressor: N clients race inserts against /query
 // re-indexing and /refresh rebuilds, which is what the CI -race job leans
 // on.
@@ -59,6 +64,14 @@ func TestSimScenarios(t *testing.T) {
 			}
 			if !bytes.Equal(a, b) {
 				t.Errorf("summaries differ between identically-seeded runs:\n%s\n---\n%s", a, b)
+			}
+			golden, err := os.ReadFile(filepath.Join("testdata", sc.Name+".golden.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := append(a, '\n'); !bytes.Equal(got, golden) {
+				t.Errorf("summary differs from testdata/%s.golden.json (regenerate with go run ./cmd/rpsim -scenario %s -seed 1 -clients 4 -steps 6):\n%s\n--- golden:\n%s",
+					sc.Name, sc.Name, got, golden)
 			}
 		})
 	}
