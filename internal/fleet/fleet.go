@@ -23,7 +23,8 @@ type Config struct {
 	// ReplicationFactor is how many replicas hold each publication
 	// (default 2, clamped to Replicas).
 	ReplicationFactor int
-	// EjectAfter is the consecutive transport-failure count that ejects a
+	// EjectAfter is the count of consecutive failed attempts — transport
+	// failures, or successes without a readable charge — that ejects a
 	// replica from rotation (default 3).
 	EjectAfter int
 	// ProbeAfter is the ejection cooldown, measured in requests routed
@@ -51,7 +52,7 @@ type Config struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// VerifyEvery samples 1-in-N successful /query and /reconstruct
-	// answers for digest comparison against a second holder (default 16;
+	// answers for byte comparison against a second holder (default 16;
 	// negative disables). Deterministic builds make holders bit-identical,
 	// so any mismatch is a real fault.
 	VerifyEvery int

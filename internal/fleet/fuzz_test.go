@@ -20,8 +20,10 @@ import (
 // holding one small medical publication and one small incremental one.
 // Every response must be a 200 that decodes in the request's encoding or a
 // typed JSON ErrorBody whose code belongs to the serve taxonomy — never a
-// panic, never a 5xx. The seed corpus is the wire golden frames plus one
-// valid body per endpoint and encoding.
+// panic, never a 5xx. When both surfaces answer a /query or /reconstruct
+// with 200, the bytes the replica alone determines (answerBytes) must be
+// equal: the router relays them untouched. The seed corpus is the wire
+// golden frames plus one valid body per endpoint and encoding.
 func FuzzBatchBodies(f *testing.F) {
 	cfg := serve.Config{BudgetQuota: -1}
 	srv := serve.New(cfg)
@@ -71,15 +73,26 @@ func FuzzBatchBodies(f *testing.F) {
 		h    http.Handler
 	}{{"serve", srv.Handler()}, {"fleet", fl.Handler()}}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, s := range surfaces {
-			for _, path := range []string{"/query", "/reconstruct", "/insert"} {
-				for _, ct := range []string{"application/json", wire.ContentType} {
+		for _, path := range []string{"/query", "/reconstruct", "/insert"} {
+			for _, ct := range []string{"application/json", wire.ContentType} {
+				var ok [][]byte
+				for _, s := range surfaces {
 					req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 					req.Header.Set("Content-Type", ct)
 					w := httptest.NewRecorder()
 					s.h.ServeHTTP(w, req)
 					if err := checkBatchResponse(path, ct, w); err != nil {
 						t.Fatalf("%s %s (%s): %v\nbody %q\nresponse %d %q", s.name, path, ct, err, body, w.Code, w.Body.Bytes())
+					}
+					if w.Code == http.StatusOK && path != "/insert" {
+						ok = append(ok, w.Body.Bytes())
+					}
+				}
+				if len(ok) == len(surfaces) {
+					a, aok := answerBytes(ok[0])
+					b, bok := answerBytes(ok[1])
+					if !aok || !bok || !bytes.Equal(a, b) {
+						t.Fatalf("%s (%s): answers differ between serve and fleet\nbody %q\nserve %q\nfleet %q", path, ct, body, ok[0], ok[1])
 					}
 				}
 			}

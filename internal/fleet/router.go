@@ -1,18 +1,17 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/reconpriv/reconpriv/internal/budget"
 	"github.com/reconpriv/reconpriv/internal/par"
 	"github.com/reconpriv/reconpriv/internal/serve"
-	"github.com/reconpriv/reconpriv/internal/stats"
 	"github.com/reconpriv/reconpriv/internal/wire"
 )
 
@@ -107,8 +106,8 @@ func (f *Fleet) proxyHandler(path string) http.HandlerFunc {
 
 // proxy routes one logical request: place by publication id, fail over
 // across holders with timeouts and jittered backoff, charge exposure
-// exactly once on the first decoded success, and digest-verify a sampled
-// fraction of answers against a second holder.
+// exactly once on the first success whose charge it can read, and verify
+// a sampled fraction of answers against a second holder.
 func (f *Fleet) proxy(w http.ResponseWriter, r *http.Request, path string) {
 	f.requests.Add(1)
 	rr := f.readRouted(w, r)
@@ -128,9 +127,9 @@ func (f *Fleet) proxy(w http.ResponseWriter, r *http.Request, path string) {
 	}
 
 	client := rr.client
-	if h := r.Header.Get("X-Client-ID"); h != "" {
+	if h := r.Header.Get(serve.ClientHeader); h != "" {
 		client = h
-		rr.hdr.Set("X-Client-ID", h)
+		rr.hdr.Set(serve.ClientHeader, h)
 	}
 	if client == "" {
 		client = "fleet"
@@ -210,11 +209,18 @@ func (f *Fleet) proxy(w http.ResponseWriter, r *http.Request, path string) {
 			return
 		}
 
+		final, ok := f.settle(path, rr, rep, keyHash, resp, client)
+		if !ok {
+			// A success the router cannot charge is as broken as a dropped
+			// connection: relaying it would leave the batch off the ledger.
+			f.noteFailure(rep)
+			lastCode, lastMsg = serve.CodeUnavailable, fmt.Sprintf("replica %d: no readable charge in its response", rep.idx)
+			continue
+		}
 		f.noteSuccess(rep)
 		if attempt > 0 {
 			f.failovers.Add(1)
 		}
-		final := f.settle(path, rr, rep, keyHash, resp, client)
 		if idemKey != "" {
 			f.idemPut(idemKey, final)
 		}
@@ -275,7 +281,7 @@ func (f *Fleet) backoff(keyHash uint64, attempt int) time.Duration {
 	return time.Duration(float64(d) * frac)
 }
 
-// noteFailure records one transport-level failure: EjectAfter consecutive
+// noteFailure records one failed attempt: EjectAfter consecutive
 // failures eject a healthy replica; a failed probe re-ejects immediately
 // and restarts the cooldown.
 func (f *Fleet) noteFailure(rep *replica) {
@@ -300,66 +306,45 @@ func (f *Fleet) noteSuccess(rep *replica) {
 	}
 }
 
-// settle finishes a successful routed response: charge the router's budget
-// manager exactly once, rewrite the exposure fields to the authoritative
-// values, and digest-verify a sampled fraction against a second holder.
-// Responses without a charged field (audits) pass through unchanged. The
-// charge is force-applied (ChargeServed): the replica already did the work,
-// so the ledger must record it even when it overshoots the quota — the
-// precheck in proxy stops the client on its next request.
-func (f *Fleet) settle(path string, rr *routed, rep *replica, keyHash uint64, resp *response, client string) *response {
-	if f.cfg.VerifyEvery > 0 && path != "/audit" && keyHash%uint64(f.cfg.VerifyEvery) == 0 {
+// settle finishes a successful routed response: read the replica's
+// charge, verify a sampled fraction against a second holder,
+// charge the router's budget manager exactly once, and write the
+// authoritative ledger into the body without touching the answers —
+// patched in place in a frame, spliced over the router-owned group of a
+// JSON body. The charge is force-applied (ChargeServed): the replica
+// already did the work, so the ledger must record it even when it
+// overshoots the quota — the precheck in proxy stops the client on its
+// next request. Audits charge nothing and pass through unchanged. A false
+// return means the body carries no readable charge.
+func (f *Fleet) settle(path string, rr *routed, rep *replica, keyHash uint64, resp *response, client string) (*response, bool) {
+	if path == "/audit" {
+		return resp, true
+	}
+	frame := wire.IsFrame(resp.body)
+	var at serve.JSONLedger // of a frame, only the charge
+	var err error
+	if frame {
+		var led wire.Ledger
+		led, err = wire.ReadLedger(resp.body)
+		at.Charged = int64(led.Charged)
+	} else {
+		at, err = serve.ReadJSONLedger(resp.body)
+	}
+	if err != nil || at.Charged <= 0 {
+		return nil, false
+	}
+	if f.cfg.VerifyEvery > 0 && keyHash%uint64(f.cfg.VerifyEvery) == 0 {
 		f.verify(path, rr, rep.idx, resp.body)
 	}
-	charge := func(n int64) serve.Ledger {
-		res := f.budget.ChargeServed(client, rr.id, n, classFor(path))
-		return serve.LedgerOf(res, f.cfg.Serve.ExposureWarn)
-	}
-
-	// Binary responses carry the ledger at a fixed offset: read the charge,
-	// apply it to the router's ledger, and patch the authoritative totals
-	// back in place — no re-encoding of the answer block.
-	if wire.IsFrame(resp.body) {
-		led, err := wire.ReadLedger(resp.body)
-		if err != nil || led.Charged == 0 {
-			return resp
-		}
-		led = charge(int64(led.Charged)).Wire(int64(led.Charged))
-		body, err := wire.PatchLedger(resp.body, []byte(client), led.ClientQueries, led.BudgetRemaining,
-			led.ExposureWarning, led.BudgetExact)
-		if err != nil {
-			return resp
-		}
-		return &response{status: resp.status, header: resp.header, body: body}
-	}
-
-	var doc map[string]any
-	if err := json.Unmarshal(resp.body, &doc); err != nil {
-		return resp
-	}
-	charged, ok := doc["charged"].(float64)
-	if !ok || charged <= 0 {
-		return resp
-	}
-	led := charge(int64(charged))
-	doc["client_queries"] = led.ClientQueries
-	doc["client"] = client
-	doc["budget_remaining"] = led.BudgetRemaining
-	if led.BudgetExact {
-		doc["budget_exact"] = true
+	led := serve.LedgerOf(f.budget.ChargeServed(client, rr.id, at.Charged, classFor(path)), f.cfg.Serve.ExposureWarn)
+	body := resp.body
+	if frame {
+		// PatchLedger cannot fail here: ReadLedger accepted the same block.
+		body, _ = wire.PatchLedger(body, []byte(client), led.Wire(at.Charged))
 	} else {
-		delete(doc, "budget_exact")
+		body = serve.SpliceJSONLedger(body, at, client, led)
 	}
-	if led.ExposureWarning {
-		doc["exposure_warning"] = true
-	} else {
-		delete(doc, "exposure_warning")
-	}
-	body, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return resp
-	}
-	return &response{status: resp.status, header: resp.header, body: append(body, '\n')}
+	return &response{status: resp.status, header: resp.header, body: body}, true
 }
 
 // classFor maps a routed path onto the budget charge class: reconstruction
@@ -372,12 +357,12 @@ func classFor(path string) budget.Class {
 }
 
 // verify replays a sampled request against a second live holder and
-// compares answer digests. Deterministic builds make replicas
+// compares the answer bytes. Deterministic builds make replicas
 // bit-identical, so any mismatch is real corruption — counted, never
 // masked. Verification failures to reach a second holder are skipped;
 // this is sampling, not a quorum.
 func (f *Fleet) verify(path string, rr *routed, primary int, primaryBody []byte) {
-	want, ok := answersDigest(path, primaryBody)
+	want, ok := answerBytes(primaryBody)
 	if !ok {
 		return
 	}
@@ -396,85 +381,29 @@ func (f *Fleet) verify(path string, rr *routed, primary int, primaryBody []byte)
 		if err != nil || resp.status != http.StatusOK {
 			return
 		}
-		got, ok := answersDigest(path, resp.body)
+		got, ok := answerBytes(resp.body)
 		if !ok {
 			return
 		}
 		f.verified.Add(1)
-		if got != want {
+		if !bytes.Equal(got, want) {
 			f.verifyMismatches.Add(1)
 		}
 		return
 	}
 }
 
-// answersDigest fingerprints the replica-determined content of a routed
-// response in either encoding — counts and estimates for /query, sizes and
-// frequencies for /reconstruct — excluding router-owned fields
-// (client_queries, timing). Verification replays the original request
-// body, so both digests of a pair come from the same encoding; /query
-// folds the same words from either encoding, while /reconstruct keys
-// frequencies by label in JSON and by dense value code in frames.
-func answersDigest(path string, body []byte) (uint64, bool) {
-	d := stats.NewDigest()
-	answer := func(count int64, est float64, err string) {
-		d.Word(uint64(count))
-		d.Word(math.Float64bits(est))
-		d.Word(fnv64(err))
+// answerBytes returns the bytes of a routed /query or /reconstruct
+// response that the replica alone determines: a JSON body's opening, id
+// and answers or results; a frame's answer block. Verification replays
+// the original request body, so it compares two bodies of one encoding.
+func answerBytes(body []byte) ([]byte, bool) {
+	if wire.IsFrame(body) {
+		b, err := wire.AnswerBlock(body)
+		return b, err == nil
 	}
-	frame := wire.IsFrame(body)
-	switch {
-	case path == "/query" && frame:
-		var qr wire.QueryResp
-		if qr.Decode(body) != nil {
-			return 0, false
-		}
-		for _, a := range qr.Answers {
-			answer(a.Count, a.Estimate, string(a.Err))
-		}
-	case path == "/query":
-		var qr serve.QueryResponse
-		if json.Unmarshal(body, &qr) != nil {
-			return 0, false
-		}
-		for _, a := range qr.Answers {
-			answer(int64(a.Count), a.Estimate, a.Error)
-		}
-	case path == "/reconstruct" && frame:
-		var rr wire.ReconstructResp
-		if rr.Decode(body) != nil {
-			return 0, false
-		}
-		for _, res := range rr.Results {
-			d.Word(uint64(res.Size))
-			for v, freq := range res.Freqs {
-				d.Word(uint64(v))
-				d.Word(math.Float64bits(freq))
-			}
-			d.Word(fnv64(string(res.Err)))
-		}
-	case path == "/reconstruct":
-		var rr serve.ReconstructResponse
-		if json.Unmarshal(body, &rr) != nil {
-			return 0, false
-		}
-		for _, res := range rr.Results {
-			d.Word(uint64(res.Size))
-			keys := make([]string, 0, len(res.Freqs))
-			for k := range res.Freqs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				d.Word(fnv64(k))
-				d.Word(math.Float64bits(res.Freqs[k]))
-			}
-			d.Word(fnv64(res.Error))
-		}
-	default:
-		return 0, false
-	}
-	return d.Sum64(), true
+	at, err := serve.ReadJSONLedger(body)
+	return body[:at.Answers], err == nil
 }
 
 // --- idempotency replay cache ---
@@ -670,7 +599,7 @@ func (f *Fleet) handlePublications(w http.ResponseWriter, r *http.Request) {
 		ids = append(ids, id)
 	}
 	f.pubs.mu.RUnlock()
-	sort.Strings(ids)
+	slices.Sort(ids)
 	out := make([]pubJSON, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, f.pubView(id))

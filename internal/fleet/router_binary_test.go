@@ -202,9 +202,11 @@ func TestRoutedBinaryErrors(t *testing.T) {
 	}
 }
 
-// TestRoutedBodyErrors pins one body-reader contract on both surfaces, the
-// single server and the router, in both encodings: a body with bytes after
-// the request is a 400, and a body past serve.MaxBodyBytes is a 413.
+// TestRoutedBodyErrors pins the request-reading contract on both surfaces,
+// the single server and the router, in both encodings: a body with bytes
+// after the request is a 400, a body past serve.MaxBodyBytes is a 413, and
+// the client header, in any letter case, names the client ahead of the
+// body's client.
 func TestRoutedBodyErrors(t *testing.T) {
 	srv := serve.New(serve.Config{})
 	f := New(Config{Replicas: 2, ReplicationFactor: 2})
@@ -222,16 +224,20 @@ func TestRoutedBodyErrors(t *testing.T) {
 	// Zeroed pages: the oversized body costs the client no resident memory.
 	huge := make([]byte, serve.MaxBodyBytes+1)
 	cases := []struct {
-		name string
-		ct   string
-		body []byte
-		want int
-		code serve.ErrorCode
+		name   string
+		ct     string
+		body   []byte
+		header string // client header name, sent with the value "hdr"
+		want   int
+		code   serve.ErrorCode // of a rejection
+		client string          // of a success
 	}{
-		{"json trailing bytes", "application/json", append(jsonBody, []byte(` {"id":"x"}`)...), http.StatusBadRequest, serve.CodeBadRequest},
-		{"binary trailing bytes", wire.ContentType, append(binaryQueryFrame(id, "c", 1), 0xEE), http.StatusBadRequest, serve.CodeBadRequest},
-		{"json over-limit body", "application/json", huge, http.StatusRequestEntityTooLarge, serve.CodeTooLarge},
-		{"binary over-limit body", wire.ContentType, huge, http.StatusRequestEntityTooLarge, serve.CodeTooLarge},
+		{"json trailing bytes", "application/json", append(jsonBody, []byte(` {"id":"x"}`)...), "", http.StatusBadRequest, serve.CodeBadRequest, ""},
+		{"binary trailing bytes", wire.ContentType, append(binaryQueryFrame(id, "c", 1), 0xEE), "", http.StatusBadRequest, serve.CodeBadRequest, ""},
+		{"json over-limit body", "application/json", huge, "", http.StatusRequestEntityTooLarge, serve.CodeTooLarge, ""},
+		{"binary over-limit body", wire.ContentType, huge, "", http.StatusRequestEntityTooLarge, serve.CodeTooLarge, ""},
+		{"json client header", "application/json", jsonBody, "x-CLIENT-id", http.StatusOK, "", "hdr"},
+		{"binary client header", wire.ContentType, binaryQueryFrame(id, "c", 1), "X-CLIENT-ID", http.StatusOK, "", "hdr"},
 	}
 	for _, tc := range cases {
 		for _, s := range []struct {
@@ -240,13 +246,27 @@ func TestRoutedBodyErrors(t *testing.T) {
 		}{{"serve", srv.Handler()}, {"fleet", f.Handler()}} {
 			req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(tc.body))
 			req.Header.Set("Content-Type", tc.ct)
+			if tc.header != "" {
+				req.Header.Set(tc.header, "hdr")
+			}
 			w := httptest.NewRecorder()
 			s.h.ServeHTTP(w, req)
 			if w.Code != tc.want {
 				t.Errorf("%s on %s: status %d, want %d (%s)", tc.name, s.name, w.Code, tc.want, w.Body.Bytes())
 				continue
 			}
-			if got := serve.DecodeErrorCode(w.Code, w.Body.Bytes()); got != tc.code {
+			if w.Code == http.StatusOK {
+				var qr wire.QueryResp
+				var jr serve.QueryResponse
+				if qr.Decode(w.Body.Bytes()) == nil {
+					jr.Client = string(qr.Client)
+				} else if err := json.Unmarshal(w.Body.Bytes(), &jr); err != nil {
+					t.Fatal(err)
+				}
+				if jr.Client != tc.client {
+					t.Errorf("%s on %s: client %q, want %q", tc.name, s.name, jr.Client, tc.client)
+				}
+			} else if got := serve.DecodeErrorCode(w.Code, w.Body.Bytes()); got != tc.code {
 				t.Errorf("%s on %s: code %q, want %q", tc.name, s.name, got, tc.code)
 			}
 		}

@@ -210,8 +210,8 @@ func (s *Server) checkBatch(w http.ResponseWriter, h batchHead, limit int, empty
 type queryRequest struct {
 	ID string `json:"id"`
 	// Client identifies the querying party for exposure accounting;
-	// the X-Client-ID header takes precedence, the remote IP is the
-	// fallback.
+	// the X-Client-Id header (ClientHeader) takes precedence, the remote
+	// IP is the fallback.
 	Client  string      `json:"client,omitempty"`
 	Queries []QueryJSON `json:"queries"`
 	// Wait blocks until a pending publication is ready instead of failing
@@ -219,71 +219,28 @@ type queryRequest struct {
 	Wait bool `json:"wait,omitempty"`
 }
 
-// QueryAnswer is one query's served answer. Exported (with QueryResponse)
-// so routing layers like internal/fleet can decode, verify, and re-emit the
-// body without a private mirror.
+// QueryAnswer is one query's served answer.
 type QueryAnswer struct {
 	Count    int     `json:"count"`
 	Estimate float64 `json:"estimate"`
 	Error    string  `json:"error,omitempty"`
 }
 
-// QueryResponse is the JSON body of a successful POST /query.
+// QueryResponse is the JSON body of a successful POST /query. Its field
+// order is the member order ReadJSONLedger accepts: Client and Ledger, the
+// group a routing layer replaces, come last.
 type QueryResponse struct {
 	ID      string        `json:"id"`
 	Answers []QueryAnswer `json:"answers"`
-	Client  string        `json:"client"`
 	// Charged is the exposure charge of this batch alone — the amount added
 	// to the client's ledger, as opposed to Ledger.ClientQueries, the
 	// cumulative total. Routing layers that keep their own authoritative
 	// ledger charge exactly this once per logical request, however many
 	// replica attempts it took.
-	Charged int64 `json:"charged"`
+	Charged     int64  `json:"charged"`
+	ServeMicros int64  `json:"serve_us"`
+	Client      string `json:"client"`
 	Ledger
-	ServeMicros int64 `json:"serve_us"`
-}
-
-// Ledger is the exposure block of a charged response: the client's
-// cumulative exposure after the charge, the window budget left (-1 when
-// enforcement is disabled), whether those counts are exact rather than
-// sketch upper bounds, and whether the total crossed the operator's
-// warning threshold. serve and the fleet router both build it with
-// LedgerOf.
-type Ledger struct {
-	ClientQueries   int64 `json:"client_queries"`
-	BudgetRemaining int64 `json:"budget_remaining"`
-	BudgetExact     bool  `json:"budget_exact,omitempty"`
-	ExposureWarning bool  `json:"exposure_warning,omitempty"`
-}
-
-// defaultExposureWarn is Config.ExposureWarn's default: 10× the paper's
-// 5,000-query workload.
-const defaultExposureWarn = 50000
-
-// LedgerOf converts a budget charge result into the response ledger.
-// warnAt follows Config.ExposureWarn: 0 is the default threshold, a
-// negative value disables the warning.
-func LedgerOf(res budget.Result, warnAt int64) Ledger {
-	if warnAt == 0 {
-		warnAt = defaultExposureWarn
-	}
-	l := Ledger{ClientQueries: res.Total, BudgetRemaining: res.Remaining, BudgetExact: res.Exact,
-		ExposureWarning: warnAt > 0 && res.Total > warnAt}
-	if res.Remaining == budget.Unlimited {
-		l.BudgetRemaining = -1
-	}
-	return l
-}
-
-// Wire is the ledger's binary-frame form for a batch that charged
-// charged units; disabled enforcement becomes wire.UnlimitedBudget.
-func (l Ledger) Wire(charged int64) wire.Ledger {
-	rem := uint64(l.BudgetRemaining)
-	if l.BudgetRemaining < 0 {
-		rem = wire.UnlimitedBudget
-	}
-	return wire.Ledger{Charged: uint64(charged), ClientQueries: uint64(l.ClientQueries),
-		BudgetRemaining: rem, ExposureWarning: l.ExposureWarning, BudgetExact: l.BudgetExact}
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -374,8 +331,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeFrame(w, st.out)
 		return
 	}
-	WriteJSON(w, http.StatusOK, QueryResponse{ID: pub.ID, Answers: answers, Client: client,
-		Charged: int64(h.n), Ledger: led, ServeMicros: elapsed.Microseconds()})
+	WriteJSON(w, http.StatusOK, QueryResponse{ID: pub.ID, Answers: answers, Charged: int64(h.n),
+		ServeMicros: elapsed.Microseconds(), Client: client, Ledger: led})
 }
 
 // resolveQuery is /query's resolve step for item i. Frames carry original
@@ -402,7 +359,8 @@ func (st *scratch) resolveQuery(pub *Publication, bin bool, i int) (query.Query,
 type reconstructRequest struct {
 	ID string `json:"id"`
 	// Client identifies the reconstructing party for exposure accounting
-	// (X-Client-ID header takes precedence, remote IP is the fallback).
+	// (the X-Client-Id header, ClientHeader, takes precedence; the remote
+	// IP is the fallback).
 	Client string `json:"client,omitempty"`
 	// Subsets are the condition sets to reconstruct over, one result each.
 	Subsets [][]CondJSON `json:"subsets"`
@@ -415,9 +373,7 @@ type reconstructRequest struct {
 	Wait bool `json:"wait,omitempty"`
 }
 
-// Reconstruction is one subset's served reconstruction. Exported (with
-// ReconstructResponse) so routing layers like internal/fleet can decode,
-// verify, and re-emit the body without a private mirror.
+// Reconstruction is one subset's served reconstruction.
 type Reconstruction struct {
 	// Size is the observed subset size |S*|; 0 with no freqs means the
 	// subset is empty.
@@ -427,19 +383,20 @@ type Reconstruction struct {
 	Error string             `json:"error,omitempty"`
 }
 
-// ReconstructResponse is the JSON body of a successful POST /reconstruct.
+// ReconstructResponse is the JSON body of a successful POST /reconstruct,
+// in the member order of QueryResponse.
 type ReconstructResponse struct {
 	ID      string           `json:"id"`
 	Results []Reconstruction `json:"results"`
-	Client  string           `json:"client"`
 	// Charged is the exposure charge of this batch alone (subsets × the
 	// sensitive-attribute domain size); Ledger.ClientQueries is the
 	// client's cumulative exposure after it: every reconstruction reveals
 	// the subset's full m-value histogram, so it is charged as m count
 	// queries.
-	Charged int64 `json:"charged"`
+	Charged     int64  `json:"charged"`
+	ServeMicros int64  `json:"serve_us"`
+	Client      string `json:"client"`
 	Ledger
-	ServeMicros int64 `json:"serve_us"`
 }
 
 // handleReconstruct answers one /reconstruct batch. Binary frequencies are
@@ -543,8 +500,8 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		writeFrame(w, st.out)
 		return
 	}
-	WriteJSON(w, http.StatusOK, ReconstructResponse{ID: pub.ID, Results: results, Client: client,
-		Charged: charged, Ledger: led, ServeMicros: elapsed.Microseconds()})
+	WriteJSON(w, http.StatusOK, ReconstructResponse{ID: pub.ID, Results: results, Charged: charged,
+		ServeMicros: elapsed.Microseconds(), Client: client, Ledger: led})
 }
 
 // resolveSubset is /reconstruct's resolve step for item i. A subset that

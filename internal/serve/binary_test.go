@@ -383,7 +383,7 @@ func TestBinaryQueryHandlerAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		max     float64
-	}{{1, 5}, {2, 16}} {
+	}{{1, 4}, {2, 16}} {
 		s := New(Config{QueryWorkers: tc.workers, BudgetQuota: -1})
 		e, _, err := s.Publish(medicalRequest(), true)
 		if err != nil {

@@ -849,10 +849,15 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 
 // --- exposure accounting ---
 
+// ClientHeader is the request header that names the client for exposure
+// accounting, ahead of the body's client. It is in canonical form, so
+// Header.Get looks it up without allocating.
+const ClientHeader = "X-Client-Id"
+
 // clientID picks the exposure-accounting identity: explicit header, then
 // request body, then the remote IP.
 func clientID(r *http.Request, bodyClient string) string {
-	if id := r.Header.Get("X-Client-ID"); id != "" {
+	if id := r.Header.Get(ClientHeader); id != "" {
 		return id
 	}
 	if bodyClient != "" {
@@ -882,6 +887,9 @@ func (s *Server) chargeExposure(w http.ResponseWriter, client, pubID string, n i
 
 // --- JSON plumbing ---
 
+// jsonIndent is WriteJSON's indent, which SpliceJSONLedger matches.
+const jsonIndent = "  "
+
 // WriteJSON renders v as the indented JSON body of a response with the
 // given status — every JSON body either surface emits, the fleet router's
 // included.
@@ -889,6 +897,6 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	enc.SetIndent("", jsonIndent)
 	enc.Encode(v)
 }

@@ -66,7 +66,7 @@ func FuzzWireDecode(f *testing.F) {
 		// The routing-layer helpers must tolerate the same inputs.
 		if _, err := PeekHead(frame); err == nil {
 			if _, err := ReadLedger(frame); err == nil {
-				if _, perr := PatchLedger(append([]byte(nil), frame...), []byte("patched"), 1, 2, true, false); perr != nil {
+				if _, perr := PatchLedger(append([]byte(nil), frame...), []byte("patched"), Ledger{ClientQueries: 1, BudgetRemaining: 2, ExposureWarning: true}); perr != nil {
 					t.Fatalf("ReadLedger ok but PatchLedger failed: %v", perr)
 				}
 			}

@@ -59,10 +59,25 @@ func ledgerOffsets(frame []byte) (clientOff, chargedOff int, err error) {
 	clientOff = HeaderSize + r.off
 	r.bytes8() // client
 	chargedOff = HeaderSize + r.off
-	if !r.ok || r.remaining() < 8+8+8+1+8 {
+	if !r.ok || r.remaining() < ledgerTail {
 		return 0, 0, ErrTruncated
 	}
 	return clientOff, chargedOff, nil
+}
+
+// ledgerTail is the ledger's fixed part from charged on: charged,
+// clientQueries and budgetRemaining u64s, flags, serveMicros.
+const ledgerTail = 8 + 8 + 8 + 1 + 8
+
+// AnswerBlock returns the bytes of a response frame after its ledger —
+// the answer count and the answers or results, which the replica alone
+// determines — without decoding them.
+func AnswerBlock(frame []byte) ([]byte, error) {
+	_, off, err := ledgerOffsets(frame)
+	if err != nil {
+		return nil, err
+	}
+	return frame[off+ledgerTail:], nil
 }
 
 // ReadLedger extracts the exposure fields from a response frame.
@@ -81,12 +96,12 @@ func ReadLedger(frame []byte) (Ledger, error) {
 }
 
 // PatchLedger rewrites the client, cumulative exposure, remaining budget,
-// and flags of a response frame to a router's authoritative values,
+// and flags of a response frame to a router's authoritative values in led,
 // leaving charged and the answers untouched. When the new client matches
 // the frame's, the patch is in place and the input slice is returned;
 // otherwise the frame is spliced into a fresh slice. The caller must own
 // the frame either way.
-func PatchLedger(frame []byte, client []byte, clientQueries, remaining uint64, warning, exact bool) ([]byte, error) {
+func PatchLedger(frame []byte, client []byte, led Ledger) ([]byte, error) {
 	clientOff, chargedOff, err := ledgerOffsets(frame)
 	if err != nil {
 		return nil, err
@@ -105,14 +120,14 @@ func PatchLedger(frame []byte, client []byte, clientQueries, remaining uint64, w
 		out = append(out, frame[clientOff+1+oldLen:]...)
 		binary.LittleEndian.PutUint32(out[4:8], uint32(len(out)-HeaderSize))
 	}
-	binary.LittleEndian.PutUint64(out[chargedOff+8:], clientQueries)
-	binary.LittleEndian.PutUint64(out[chargedOff+16:], remaining)
-	if warning {
+	binary.LittleEndian.PutUint64(out[chargedOff+8:], led.ClientQueries)
+	binary.LittleEndian.PutUint64(out[chargedOff+16:], led.BudgetRemaining)
+	if led.ExposureWarning {
 		out[chargedOff+24] |= flagWarning
 	} else {
 		out[chargedOff+24] &^= flagWarning
 	}
-	if exact {
+	if led.BudgetExact {
 		out[chargedOff+24] |= flagBudgetExact
 	} else {
 		out[chargedOff+24] &^= flagBudgetExact

@@ -412,7 +412,7 @@ func TestReadAndPatchLedger(t *testing.T) {
 
 	t.Run("in place", func(t *testing.T) {
 		f := append([]byte(nil), frame...)
-		out, err := PatchLedger(f, []byte("analyst-7"), 9000, 500, false, false)
+		out, err := PatchLedger(f, []byte("analyst-7"), Ledger{ClientQueries: 9000, BudgetRemaining: 500})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +433,7 @@ func TestReadAndPatchLedger(t *testing.T) {
 
 	t.Run("splice client", func(t *testing.T) {
 		f := append([]byte(nil), frame...)
-		out, err := PatchLedger(f, []byte("a-much-longer-client-name"), 7, UnlimitedBudget, true, true)
+		out, err := PatchLedger(f, []byte("a-much-longer-client-name"), Ledger{ClientQueries: 7, BudgetRemaining: UnlimitedBudget, ExposureWarning: true, BudgetExact: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,11 +448,23 @@ func TestReadAndPatchLedger(t *testing.T) {
 		if len(m.Answers) != 3 || m.Answers[1].Err == nil {
 			t.Fatalf("answers disturbed: %+v", m.Answers)
 		}
+		// The answer block is the frame's tail after the ledger, byte for
+		// byte the same on both sides of a patch.
+		want, err := AnswerBlock(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := AnswerBlock(out); err != nil || !bytes.Equal(got, want) || !bytes.HasSuffix(frame, want) || want[0] != 3 {
+			t.Fatalf("answer block %x (%v), want %x", got, err, want)
+		}
 	})
 
 	t.Run("rejects requests", func(t *testing.T) {
 		if _, err := ReadLedger(goldenQueryReq().Append(nil)); !errors.Is(err, ErrKind) {
 			t.Fatalf("ReadLedger on request = %v, want %v", err, ErrKind)
+		}
+		if _, err := AnswerBlock(goldenQueryReq().Append(nil)); !errors.Is(err, ErrKind) {
+			t.Fatalf("AnswerBlock on request = %v, want %v", err, ErrKind)
 		}
 	})
 }
