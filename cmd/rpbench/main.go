@@ -4,7 +4,7 @@
 // Usage:
 //
 //	rpbench [-exp all|table1,table2,table4,table5,fig1,fig2,fig3,fig4,fig5,
-//	             audit,adversary,sim,fleet,wire,ingest,budget,outputvs,coldpublish,ablations]
+//	             audit,adversary,fleet,wire,budget,outputvs,coldpublish,ablations]
 //	        [-runs N] [-trials N] [-census-size N] [-seed N]
 //
 // Each experiment prints the same rows/series as the corresponding artifact
@@ -30,7 +30,7 @@ func main() {
 	fleet.ChildServeMain()
 
 	var (
-		exp        = flag.String("exp", "all", "comma-separated experiments: table1,table2,table4,table5,fig1,fig2,fig3,fig4,fig5,audit,adversary,sim,fleet,wire,ingest,budget,outputvs,coldpublish,ablations")
+		exp        = flag.String("exp", "all", "comma-separated experiments: table1,table2,table4,table5,fig1,fig2,fig3,fig4,fig5,audit,adversary,fleet,wire,budget,outputvs,coldpublish,ablations")
 		runs       = flag.Int("runs", experiments.DefaultRuns, "independent perturbation runs per error point")
 		trials     = flag.Int("trials", 10, "noise trials for Table 1")
 		censusSize = flag.Int("census-size", experiments.DefaultCensusSize, "default CENSUS sample size")
@@ -66,10 +66,8 @@ func main() {
 		{"fig5", func() (fmt.Stringer, error) { return sweepAll(false, true, *censusSize, *runs) }},
 		{"audit", func() (fmt.Stringer, error) { return runAudits(*censusSize, *seed) }},
 		{"adversary", func() (fmt.Stringer, error) { return experiments.RunAdversaryBench(*censusSize, 1000) }},
-		{"sim", func() (fmt.Stringer, error) { return experiments.RunSimMixed(8, 40, *seed) }},
 		{"fleet", func() (fmt.Stringer, error) { return experiments.RunFleetBench(8, 20, *seed) }},
 		{"wire", func() (fmt.Stringer, error) { return experiments.RunWireBench(*censusSize, 2) }},
-		{"ingest", func() (fmt.Stringer, error) { return experiments.RunIngestBench(0, 0, *seed) }},
 		{"budget", func() (fmt.Stringer, error) { return experiments.RunBudgetBench(0, *seed) }},
 		{"coldpublish", func() (fmt.Stringer, error) { return experiments.RunColdPublish(*censusSize, 5) }},
 		{"outputvs", func() (fmt.Stringer, error) { return runOutputVs(*censusSize, *runs) }},

@@ -431,39 +431,3 @@ func TestRunBudgetBench(t *testing.T) {
 		t.Error("rendering incomplete")
 	}
 }
-
-func TestRunIngestBench(t *testing.T) {
-	// A deliberately small stream: the digest-equivalence and conservation
-	// checks inside the runner are what this test exists for, not the
-	// calibrated throughput ratio (rpbench -exp ingest measures that).
-	res, err := RunIngestBench(6, 20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 || res.Rows[0].Path != "delta" || res.Rows[1].Path != "legacy" {
-		t.Fatalf("rows %+v, want delta then legacy", res.Rows)
-	}
-	if res.BaseRecords != 45222 {
-		t.Fatalf("ADULT base %d, want 45222", res.BaseRecords)
-	}
-	if res.Digest == "" {
-		t.Fatal("no converged digest")
-	}
-	delta, legacy := &res.Rows[0], &res.Rows[1]
-	if delta.Records != 120 || legacy.Records != 120 {
-		t.Fatalf("records %d/%d, want 120", delta.Records, legacy.Records)
-	}
-	if want := uint64(6 + ingestWarmupBatches); delta.Appends != want {
-		t.Fatalf("delta path made %d appends for 6 timed + %d warmup batches, want %d",
-			delta.Appends, ingestWarmupBatches, want)
-	}
-	if legacy.Appends != 0 || legacy.Compactions != 0 {
-		t.Fatalf("legacy path used the delta machinery: %+v", legacy)
-	}
-	if res.Speedup <= 1 {
-		t.Errorf("delta path not faster than full re-index: %.2fx", res.Speedup)
-	}
-	if !strings.Contains(res.String(), "ingest speedup") {
-		t.Error("rendering incomplete")
-	}
-}

@@ -167,6 +167,10 @@ type pub struct {
 	// used as a checkpoint source until a restart replays them back into
 	// agreement.
 	stale map[int]bool
+	// mutations rises by one, under mu, when a mutation starts fanning out
+	// to the holders and by one when it ends: it is odd while holders may
+	// disagree. Verification reads it without the lock.
+	mutations atomic.Uint64
 }
 
 // markStale records that holder h missed a logged mutation.
@@ -236,6 +240,10 @@ type Fleet struct {
 	verified         atomic.Uint64
 	verifyMismatches atomic.Uint64
 	checkpoints      atomic.Uint64
+
+	// settled counts routed /query and /reconstruct successes; every
+	// VerifyEvery-th is verified.
+	settled atomic.Uint64
 }
 
 // newFleet builds the replica-less shell shared by every constructor.
@@ -435,6 +443,8 @@ func (f *Fleet) Refresh(id string) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.mutations.Add(1)
+	defer p.mutations.Add(1)
 	applied := false
 	var missed []int
 	for _, h := range p.holders {
@@ -742,10 +752,9 @@ func (f *Fleet) ClientExposure(client string) int64 {
 func (f *Fleet) TotalExposure() int64 { return f.budget.TotalCharged() }
 
 // ReplicaAgreement digest-compares a publication across every live holder
-// (GET /digest through each transport, which re-indexes dirty incremental
-// state first, so acknowledged inserts are covered): all must serve
-// bit-identical marginal cubes at one generation. A nil error is the
-// fleet-consistency invariant.
+// (GET /digest through each transport; a holder serves every insert it
+// acknowledged): all must serve bit-identical marginal cubes at one
+// generation. A nil error is the fleet-consistency invariant.
 func (f *Fleet) ReplicaAgreement(id string) error {
 	p := f.lookup(id)
 	if p == nil {

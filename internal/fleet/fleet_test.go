@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -648,25 +649,85 @@ func TestRefreshAndRestartGenerationReplay(t *testing.T) {
 }
 
 func TestVerificationAgreesAcrossReplicas(t *testing.T) {
-	// VerifyEvery=1 verifies every answer; with bit-identical replicas the
-	// mismatch counter must stay zero.
-	f := New(Config{Replicas: 3, ReplicationFactor: 2, VerifyEvery: 1})
+	// Verification samples every VerifyEvery-th settled request, whatever
+	// its bytes, so one body resent 3·VerifyEvery times is verified exactly
+	// 3 times; with bit-identical replicas the mismatch counter must stay
+	// zero.
+	const every = 16
+	f := New(Config{Replicas: 3, ReplicationFactor: 2, VerifyEvery: every})
 	id, err := f.Publish(testPublish(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := f.Handler()
-	for i := 0; i < 8; i++ {
-		client := fmt.Sprintf("v%d", i)
-		if code, _ := doJSON(t, h, http.MethodPost, "/query", nil, queryBody(id, client, 2), nil); code != http.StatusOK {
+	for i := 0; i < 3*every; i++ {
+		if code, _ := doJSON(t, h, http.MethodPost, "/query", nil, queryBody(id, "v", 2), nil); code != http.StatusOK {
 			t.Fatalf("query %d returned %d", i, code)
 		}
 	}
 	st := f.Stats()
-	if st.Verified == 0 {
-		t.Fatal("no answers were verified at VerifyEvery=1")
+	if st.Verified != 3 {
+		t.Fatalf("one body sent %d times was verified %d times, want 3", 3*every, st.Verified)
 	}
 	if st.VerifyMismatches != 0 {
 		t.Fatalf("%d verification mismatches across bit-identical replicas", st.VerifyMismatches)
+	}
+}
+
+// TestVerificationSkipsRacingInserts races routed reads against routed
+// inserts with every answer sampled. Inserts fan out holder by holder, so a
+// read answered by a holder after batch k and replayed on one that has not
+// applied it yet differs without any fault; verification must not count
+// such a read. The holders must agree once the inserts are done, and every
+// read after that must be verified.
+func TestVerificationSkipsRacingInserts(t *testing.T) {
+	f := New(Config{Replicas: 3, ReplicationFactor: 2, VerifyEvery: 1, Serve: serve.Config{BudgetQuota: -1}})
+	id, err := f.Publish(incPublish(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := f.Handler()
+	read := func(client string) {
+		if code, _ := doJSON(t, h, http.MethodPost, "/query", nil, condQueryBody(id, client, 4), nil); code != http.StatusOK {
+			t.Errorf("query returned %d", code)
+		}
+	}
+	const inserts, readers, reads = 200, 2, 200
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < inserts; i++ {
+			recs, _ := insertRecords(rng, 5)
+			if code, _ := doJSON(t, h, http.MethodPost, "/insert", nil, map[string]any{"id": id, "records": recs}, nil); code != http.StatusOK {
+				t.Errorf("insert returned %d", code)
+				return
+			}
+		}
+	}()
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				read(fmt.Sprintf("r%d", g))
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := f.Stats()
+	if st.VerifyMismatches != 0 {
+		t.Fatalf("%d of %d verified reads reported a mismatch", st.VerifyMismatches, st.Verified)
+	}
+	if err := f.ReplicaAgreement(id); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		read("quiet")
+	}
+	if after := f.Stats(); after.Verified != st.Verified+4 || after.VerifyMismatches != 0 {
+		t.Fatalf("4 reads after the inserts: verified %d -> %d, mismatches %d; want every one verified and none mismatched",
+			st.Verified, after.Verified, after.VerifyMismatches)
 	}
 }

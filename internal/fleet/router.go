@@ -48,6 +48,8 @@ type routed struct {
 	client string
 	p      *pub
 	hdr    http.Header
+	// mutations is p.mutations when the request was first sent.
+	mutations uint64
 }
 
 // readRouted is the one reader of routed bodies (/query, /reconstruct,
@@ -154,13 +156,13 @@ func (f *Fleet) proxy(w http.ResponseWriter, r *http.Request, path string) {
 		}
 	}
 
-	// keyHash seeds the backoff jitter, the holder rotation, and the
-	// verification sample — all deterministic functions of the logical
-	// request, never of wall time.
+	// keyHash seeds the backoff jitter and the holder rotation — both
+	// deterministic functions of the logical request, never of wall time.
 	keyHash := fnv64(idemKey)
 	if idemKey == "" {
 		keyHash = fnv64(string(rr.body))
 	}
+	rr.mutations = rr.p.mutations.Load()
 
 	lastCode, lastMsg := serve.CodeUnavailable, "no live holder"
 	for attempt := 0; attempt < f.cfg.MaxAttempts; attempt++ {
@@ -209,7 +211,7 @@ func (f *Fleet) proxy(w http.ResponseWriter, r *http.Request, path string) {
 			return
 		}
 
-		final, ok := f.settle(path, rr, rep, keyHash, resp, client)
+		final, ok := f.settle(path, rr, rep, resp, client)
 		if !ok {
 			// A success the router cannot charge is as broken as a dropped
 			// connection: relaying it would leave the batch off the ledger.
@@ -307,7 +309,7 @@ func (f *Fleet) noteSuccess(rep *replica) {
 }
 
 // settle finishes a successful routed response: read the replica's
-// charge, verify a sampled fraction against a second holder,
+// charge, verify every VerifyEvery-th against a second holder,
 // charge the router's budget manager exactly once, and write the
 // authoritative ledger into the body without touching the answers —
 // patched in place in a frame, spliced over the router-owned group of a
@@ -316,7 +318,7 @@ func (f *Fleet) noteSuccess(rep *replica) {
 // overshoots the quota — the precheck in proxy stops the client on its
 // next request. Audits charge nothing and pass through unchanged. A false
 // return means the body carries no readable charge.
-func (f *Fleet) settle(path string, rr *routed, rep *replica, keyHash uint64, resp *response, client string) (*response, bool) {
+func (f *Fleet) settle(path string, rr *routed, rep *replica, resp *response, client string) (*response, bool) {
 	if path == "/audit" {
 		return resp, true
 	}
@@ -333,7 +335,7 @@ func (f *Fleet) settle(path string, rr *routed, rep *replica, keyHash uint64, re
 	if err != nil || at.Charged <= 0 {
 		return nil, false
 	}
-	if f.cfg.VerifyEvery > 0 && keyHash%uint64(f.cfg.VerifyEvery) == 0 {
+	if f.cfg.VerifyEvery > 0 && f.settled.Add(1)%uint64(f.cfg.VerifyEvery) == 0 {
 		f.verify(path, rr, rep.idx, resp.body)
 	}
 	led := serve.LedgerOf(f.budget.ChargeServed(client, rr.id, at.Charged, classFor(path)), f.cfg.Serve.ExposureWarn)
@@ -359,11 +361,13 @@ func classFor(path string) budget.Class {
 // verify replays a sampled request against a second live holder and
 // compares the answer bytes. Deterministic builds make replicas
 // bit-identical, so any mismatch is real corruption — counted, never
-// masked. Verification failures to reach a second holder are skipped;
-// this is sampling, not a quorum.
+// masked. A request that overlapped an insert or refresh fan-out is not
+// verified: its two holders may have answered on either side of one batch.
+// Verification failures to reach a second holder are skipped; this is
+// sampling, not a quorum.
 func (f *Fleet) verify(path string, rr *routed, primary int, primaryBody []byte) {
 	want, ok := answerBytes(primaryBody)
-	if !ok {
+	if !ok || rr.mutations%2 == 1 {
 		return
 	}
 	for _, h := range rr.p.holders {
@@ -382,7 +386,7 @@ func (f *Fleet) verify(path string, rr *routed, primary int, primaryBody []byte)
 			return
 		}
 		got, ok := answerBytes(resp.body)
-		if !ok {
+		if !ok || rr.p.mutations.Load() != rr.mutations {
 			return
 		}
 		f.verified.Add(1)
@@ -505,6 +509,8 @@ func (f *Fleet) handleInsert(w http.ResponseWriter, r *http.Request) {
 	p := rr.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.mutations.Add(1)
+	defer p.mutations.Add(1)
 	var first *response
 	var missed []int
 	lastErr := "no live holder"

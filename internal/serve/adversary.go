@@ -128,7 +128,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	pub, ok := s.resolvePublication(w, req.ID, req.Wait, true)
+	pub, ok := s.resolvePublication(w, req.ID, req.Wait)
 	if !ok {
 		return
 	}

@@ -389,7 +389,7 @@ func mustJSON(t *testing.T, v any) string {
 
 func TestServedAuditIncremental(t *testing.T) {
 	// Incremental publications audit their raw-group snapshot; after an
-	// insert wave and re-index, a fresh audit sees the new groups.
+	// insert wave, a fresh audit sees the new groups.
 	s, ts := startServer(t, Config{})
 	req := medicalRequest()
 	req.Method = MethodIncremental

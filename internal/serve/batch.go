@@ -191,7 +191,7 @@ type batchHead struct {
 // checkBatch is the shared front of every batch endpoint after decode: the
 // batch limits, then the publication lookup. A false return means the
 // rejection is already written.
-func (s *Server) checkBatch(w http.ResponseWriter, h batchHead, limit int, empty, noun string, reindex bool) (*Publication, bool) {
+func (s *Server) checkBatch(w http.ResponseWriter, h batchHead, limit int, empty, noun string) (*Publication, bool) {
 	if h.n == 0 {
 		WriteError(w, http.StatusBadRequest, CodeBadRequest, errors.New(empty))
 		return nil, false
@@ -201,7 +201,7 @@ func (s *Server) checkBatch(w http.ResponseWriter, h batchHead, limit int, empty
 			fmt.Errorf("%s of %d exceeds the limit %d", noun, h.n, limit))
 		return nil, false
 	}
-	return s.resolvePublication(w, h.id, h.wait, reindex)
+	return s.resolvePublication(w, h.id, h.wait)
 }
 
 // --- POST /query ---
@@ -265,7 +265,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		badBody(w, bin, err)
 		return
 	}
-	pub, ok := s.checkBatch(w, h, s.cfg.MaxBatch, "empty query batch", "batch", true)
+	pub, ok := s.checkBatch(w, h, s.cfg.MaxBatch, "empty query batch", "batch")
 	if !ok {
 		return
 	}
@@ -425,7 +425,7 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		badBody(w, bin, err)
 		return
 	}
-	pub, ok := s.checkBatch(w, h, s.cfg.MaxBatch, "empty subset batch", "batch", true)
+	pub, ok := s.checkBatch(w, h, s.cfg.MaxBatch, "empty subset batch", "batch")
 	if !ok {
 		return
 	}
@@ -567,7 +567,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		badBody(w, bin, err)
 		return
 	}
-	pub, ok := s.checkBatch(w, h, s.cfg.MaxInsert, "no records", "insert", false)
+	pub, ok := s.checkBatch(w, h, s.cfg.MaxInsert, "no records", "insert")
 	if !ok {
 		return
 	}

@@ -1,38 +1,36 @@
 package serve
 
 import (
+	"time"
+
 	"github.com/reconpriv/reconpriv/internal/core"
 	"github.com/reconpriv/reconpriv/internal/dataset"
 	"github.com/reconpriv/reconpriv/internal/query"
 	"github.com/reconpriv/reconpriv/internal/reconstruct"
 )
 
-// This file is the streaming-ingest hot path behind POST /insert. The old
-// path marked the publication dirty and let the next query rebuild the whole
-// marginal index from a full snapshot — O(|D|) per insert wave, which caps
-// sustained ingest at the reindex rate. The delta path is LSM-shaped
-// instead: each accepted batch flushes the publisher's per-group increments
-// (core.Incremental.FlushDelta), builds a small marginal index over only
-// those increments, and appends it as an immutable generation behind the
-// publication's atomic pointer (query.Marginals.WithDelta). Read paths sum
-// the generation stack positionally; a background compactor folds the stack
-// back into one flat arena once it grows past Config.CompactEvery. Work per
-// batch is proportional to the batch (plus an O(|G|) metadata pass), not to
-// the accumulated stream — the sublinear ingest property rpbench -exp
-// ingest measures.
+// This file is the streaming-ingest hot path behind POST /insert. It is
+// LSM-shaped: each accepted batch flushes the publisher's per-group
+// increments (core.Incremental.FlushDelta), builds a small marginal index
+// over only those increments, and appends it as an immutable generation
+// behind the publication's atomic pointer (query.Marginals.WithDelta). Read
+// paths sum the generation stack positionally; a background compactor folds
+// the stack back into one flat arena once it grows past Config.CompactEvery.
+// Work per batch is proportional to the batch (plus an O(|G|) metadata
+// pass), not to the accumulated stream.
 //
-// Failure handling is deliberately asymmetric: once records are in the
-// publisher they are never lost, so any failure to extend the index (layout
-// mismatch, a lost pointer race against a concurrent refresh or reindex)
-// falls back to the legacy dirty flag and the full-snapshot reconciliation
-// path repairs the index on the next query. Compaction changes no answer
-// and no digest (checksums fold effective counts), so its timing is
-// unobservable everywhere except the /statsz compactions counter.
+// Every store of a ready incremental publication's pointer — append,
+// compaction install, refresh — happens under the entry's incMu, so an
+// insert lands either before a refresh's snapshot or as a delta on the new
+// generation, and an acknowledged batch is served as soon as its response
+// is written. Compaction changes no answer and no digest (checksums fold
+// effective counts), so its timing is unobservable everywhere except the
+// /statsz compactions counter.
 
 // applyInsert ingests one resolved batch (keys in NAIndices order, sensitive
-// codes aligned) and extends the served index. handleInsert calls it for
-// either encoding; the returned response has every field set except ID. On error the batch may be partially ingested — the entry is
-// flagged dirty so the reconciliation path republishes a consistent index.
+// codes aligned) and extends the served index before it returns.
+// handleInsert calls it for either encoding; the returned response has
+// every field set except ID.
 func (s *Server) applyInsert(e *Entry, keys [][]uint16, sas []uint16) (insertResponse, error) {
 	var resp insertResponse
 	e.incMu.Lock()
@@ -40,7 +38,9 @@ func (s *Server) applyInsert(e *Entry, keys [][]uint16, sas []uint16) (insertRes
 	for i := range keys {
 		fresh, err := e.inc.Add(keys[i], sas[i])
 		if err != nil {
-			e.dirty.Store(true)
+			// Unreachable after resolveRecords, which checks what Add
+			// checks. The records before i stay in the publisher and reach
+			// the index with the next append or refresh.
 			return resp, err
 		}
 		if fresh {
@@ -52,30 +52,25 @@ func (s *Server) applyInsert(e *Entry, keys [][]uint16, sas []uint16) (insertRes
 	resp.Inserted = len(keys)
 	resp.TotalRecords = e.inc.Stats().Records
 
-	if s.cfg.IngestLegacyReindex {
-		// Benchmark baseline: the pre-delta behavior, full reindex on the
-		// next query.
-		e.dirty.Store(true)
+	if s.appendDelta(e) {
 		return resp, nil
 	}
-	if !s.appendDelta(e) {
-		e.dirty.Store(true)
+	// The delta did not extend the index (its increments are flushed but
+	// safe in the publisher): index the publisher's whole state before
+	// answering.
+	pub, err := s.indexIncremental(e, e.pub.Load().Generation, time.Now())
+	if err != nil {
+		return resp, err
 	}
+	e.pub.Store(pub)
 	return resp, nil
 }
 
-// appendDelta flushes the publisher's pending increments and swaps in a
-// publication extended by one delta generation. Called under incMu, which
-// serializes it against other inserts and against the snapshot sections of
-// reindex and refresh; the pointer swap itself is a CAS because those paths
-// store outside the lock. A false return means the index was not extended
-// (the flushed increments are safe in the publisher; the caller flags the
-// entry dirty so the full-snapshot path reconciles).
+// appendDelta flushes the publisher's pending increments and stores a
+// publication extended by one delta generation. The caller holds incMu. A
+// false return means the index was not extended.
 func (s *Server) appendDelta(e *Entry) bool {
 	old := e.pub.Load()
-	if old == nil {
-		return false
-	}
 	d := e.inc.FlushDelta()
 	if len(d.Pub.Groups) == 0 && len(d.Raw.Groups) == 0 {
 		return true
@@ -101,11 +96,7 @@ func (s *Server) appendDelta(e *Entry) bool {
 	pub.Eng = eng
 	pub.Groups = raw
 	pub.Meta = meta
-	if !e.pub.CompareAndSwap(old, &pub) {
-		// A refresh or reindex swapped concurrently; their snapshot may or
-		// may not include this delta, so let reconciliation decide.
-		return false
-	}
+	e.pub.Store(&pub)
 	e.ovBase = raw
 	s.ingestAppends.Add(1)
 	if ce := s.cfg.CompactEvery; ce > 0 && marg.Generations() > ce && !e.compacting.Swap(true) {
@@ -121,8 +112,8 @@ func (s *Server) appendDelta(e *Entry) bool {
 // append in first-touch order — the same order a fresh
 // core.Incremental.RawGroups materialization would emit, so digests agree.
 // The entry-held key index survives across batches and self-heals whenever
-// the base is not the one it was built for (after a refresh or full
-// reindex). Called under incMu.
+// the base is not the one it was built for (after a refresh). Called under
+// incMu.
 func (e *Entry) overlayRaw(old *Publication, d *dataset.GroupSet) *dataset.GroupSet {
 	base := old.Groups
 	if e.ovBase != base || e.ovIdx == nil {

@@ -96,70 +96,58 @@ func queryBattery(t *testing.T, url, id string) (counts []int, estBits []uint64)
 	return counts, estBits
 }
 
-// TestDeltaInsertMatchesLegacyReindex is the ingest golden test: the delta
-// path (flush increments, append a marginal generation, overlay the raw
-// groups) must serve the exact publication the legacy full-reindex path
-// builds from a fresh snapshot — digest-identical, so the marginal
-// checksums, metadata, and the full raw group dump all agree, not just the
-// answers.
-func TestDeltaInsertMatchesLegacyReindex(t *testing.T) {
-	sDelta, tsDelta := startServer(t, Config{})
-	sLegacy, tsLegacy := startServer(t, Config{IngestLegacyReindex: true})
-	eD := publishIncremental(t, sDelta, 1000)
-	eL := publishIncremental(t, sLegacy, 1000)
+// TestDeltaInsertMatchesFullIndex is the ingest golden test: the delta path
+// (flush increments, append a marginal generation, overlay the raw groups)
+// must serve the exact publication a full index of the same publisher state
+// builds — a restore of the stream's snapshot on a fresh server, which
+// indexes the whole state as one flat generation. Digest-identical, so the
+// marginal checksums, metadata, and the full raw group dump all agree, not
+// just the answers.
+func TestDeltaInsertMatchesFullIndex(t *testing.T) {
+	s, ts := startServer(t, Config{})
+	e := publishIncremental(t, s, 1000)
 
 	rng := rand.New(rand.NewSource(42))
 	total := 1000
 	for batch := 0; batch < 6; batch++ {
 		recs, _ := insertBatch(rng, 25+batch*10)
 		total += len(recs)
-		var insD, insL insertResponse
-		if code := post(t, tsDelta.URL+"/insert", insertRequest{ID: eD.ID(), Records: recs}, &insD); code != http.StatusOK {
-			t.Fatalf("delta insert returned %d", code)
+		var ins insertResponse
+		if code := post(t, ts.URL+"/insert", insertRequest{ID: e.ID(), Records: recs}, &ins); code != http.StatusOK {
+			t.Fatalf("insert returned %d", code)
 		}
-		if code := post(t, tsLegacy.URL+"/insert", insertRequest{ID: eL.ID(), Records: recs}, &insL); code != http.StatusOK {
-			t.Fatalf("legacy insert returned %d", code)
-		}
-		// Both publishers consume the same RNG stream in the same order, so
-		// the trial/absorb split must agree batch by batch.
-		if insD.Trials != insL.Trials || insD.Absorbed != insL.Absorbed || insD.TotalRecords != insL.TotalRecords {
-			t.Fatalf("batch %d accounting diverged: delta=%+v legacy=%+v", batch, insD, insL)
+		if ins.Inserted != len(recs) || ins.Trials+ins.Absorbed != len(recs) || ins.TotalRecords != total {
+			t.Fatalf("batch %d accounting: %+v, want %d records of %d total", batch, ins, len(recs), total)
 		}
 	}
+	pub, err := e.Publication()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pub.Meta.Records != total || pub.Meta.RecordsOut != total {
+		t.Fatalf("delta meta not current: %+v, want %d records", pub.Meta, total)
+	}
+	if g := pub.Marg.Generations(); g != 7 {
+		t.Fatalf("delta path holds %d generations, want 7 (base + 6 deltas)", g)
+	}
+	if st := s.Stats(); st.IngestAppends != 6 {
+		t.Fatalf("%d appends for 6 batches", st.IngestAppends)
+	}
 
-	// The legacy server re-indexes lazily: force it with a query, then
-	// compare the full answer surface bit for bit.
-	cD, bD := queryBattery(t, tsDelta.URL, eD.ID())
-	cL, bL := queryBattery(t, tsLegacy.URL, eL.ID())
+	_, tsFull := startServer(t, Config{})
+	if code := post(t, tsFull.URL+"/restore", snapshotOf(t, ts.URL, e.ID()), nil); code != http.StatusOK {
+		t.Fatalf("restore returned %d", code)
+	}
+	cD, bD := queryBattery(t, ts.URL, e.ID())
+	cF, bF := queryBattery(t, tsFull.URL, e.ID())
 	for i := range cD {
-		if cD[i] != cL[i] || bD[i] != bL[i] {
-			t.Fatalf("answer %d diverged: delta count=%d est=%x, legacy count=%d est=%x",
-				i, cD[i], bD[i], cL[i], bL[i])
+		if cD[i] != cF[i] || bD[i] != bF[i] {
+			t.Fatalf("answer %d diverged: delta count=%d est=%x, full index count=%d est=%x",
+				i, cD[i], bD[i], cF[i], bF[i])
 		}
 	}
-
-	pubD, err := eD.Publication()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pubL, err := eL.Publication()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pubD.Meta.Records != total || pubD.Meta.RecordsOut != total {
-		t.Fatalf("delta meta not current: %+v, want %d records", pubD.Meta, total)
-	}
-	if dd, dl := pubD.Digest(), pubL.Digest(); dd != dl {
-		t.Fatalf("digest diverged: delta %s (generations %d), legacy %s",
-			dd, pubD.Marg.Generations(), dl)
-	}
-
-	st := sDelta.Stats()
-	if st.IngestAppends != 6 {
-		t.Fatalf("delta server made %d appends for 6 batches", st.IngestAppends)
-	}
-	if lst := sLegacy.Stats(); lst.IngestAppends != 0 {
-		t.Fatalf("legacy server made %d delta appends, want 0", lst.IngestAppends)
+	if dD, dF := getDigest(t, ts.URL, e.ID()), getDigest(t, tsFull.URL, e.ID()); dD != dF {
+		t.Fatalf("digest diverged: delta %+v, full index %+v", dD, dF)
 	}
 }
 
@@ -378,9 +366,8 @@ func TestConcurrentInsertQueryCompact(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Quiesce: one query reconciles any delta lost to a compaction race,
-	// then the metadata must account for every accepted record.
-	queryBattery(t, ts.URL, e.ID())
+	// Every insert has returned, so the served metadata must account for
+	// every accepted record, whichever compactions landed in between.
 	total := 500 + inserters*batches*perBatch
 	var info publicationJSON
 	if code := get(t, fmt.Sprintf("%s/publications?id=%s", ts.URL, e.ID()), &info); code != http.StatusOK {
@@ -396,44 +383,36 @@ func TestConcurrentInsertQueryCompact(t *testing.T) {
 
 // BenchmarkSustainedIngest measures the end-to-end /insert firehose under
 // the mixed workload the delta path exists for: each iteration lands one
-// batch and immediately queries, so the legacy variant pays its full
-// re-index on every iteration while the delta variant appends a generation.
-// CI's bench smoke runs this; rpbench -exp ingest is the calibrated version.
+// batch and immediately queries the publication it extended. CI's bench
+// smoke runs it.
 func BenchmarkSustainedIngest(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"delta", false}, {"legacy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s := New(Config{IngestLegacyReindex: mode.legacy})
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
-			req := medicalRequest()
-			req.Method = MethodIncremental
-			req.Size = 20000
-			e, _, err := s.Publish(req, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			schema := datagen.MedicalSchema()
-			rng := rand.New(rand.NewSource(3))
-			const perBatch = 100
-			query := queryRequest{ID: e.ID(), Queries: []QueryJSON{{
-				Conds: []CondJSON{{Attr: "Job", Value: schema.Attrs[1].Label(0)}},
-				SA:    schema.SAAttr().Label(0),
-			}}}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				recs, _ := insertBatch(rng, perBatch)
-				if code := benchPost(b, ts.URL+"/insert", insertRequest{ID: e.ID(), Records: recs}); code != http.StatusOK {
-					b.Fatalf("insert returned %d", code)
-				}
-				if code := benchPost(b, ts.URL+"/query", query); code != http.StatusOK {
-					b.Fatalf("query returned %d", code)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(perBatch*b.N)/b.Elapsed().Seconds(), "records/s")
-		})
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	req := medicalRequest()
+	req.Method = MethodIncremental
+	req.Size = 20000
+	e, _, err := s.Publish(req, true)
+	if err != nil {
+		b.Fatal(err)
 	}
+	schema := datagen.MedicalSchema()
+	rng := rand.New(rand.NewSource(3))
+	const perBatch = 100
+	query := queryRequest{ID: e.ID(), Queries: []QueryJSON{{
+		Conds: []CondJSON{{Attr: "Job", Value: schema.Attrs[1].Label(0)}},
+		SA:    schema.SAAttr().Label(0),
+	}}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recs, _ := insertBatch(rng, perBatch)
+		if code := benchPost(b, ts.URL+"/insert", insertRequest{ID: e.ID(), Records: recs}); code != http.StatusOK {
+			b.Fatalf("insert returned %d", code)
+		}
+		if code := benchPost(b, ts.URL+"/query", query); code != http.StatusOK {
+			b.Fatalf("query returned %d", code)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(perBatch*b.N)/b.Elapsed().Seconds(), "records/s")
 }

@@ -108,6 +108,26 @@ func (s *Server) buildPublication(e *Entry, generation int) (*Publication, error
 	if err != nil {
 		return nil, err
 	}
+	pm := req.Params()
+	seed := publishSeed(req.Seed, generation)
+	if req.Method == MethodIncremental {
+		// Incremental publications never generalize, so raw is the working
+		// table (Normalize forces Significance to 0). A restore installs its
+		// publisher before it gets here.
+		e.incMu.Lock()
+		defer e.incMu.Unlock()
+		if e.inc == nil {
+			inc, err := core.NewIncremental(raw.Schema, pm, stats.NewRand(seed))
+			if err != nil {
+				return nil, err
+			}
+			if err := inc.AddTable(raw); err != nil {
+				return nil, err
+			}
+			e.inc = inc
+		}
+		return s.indexIncremental(e, generation, start)
+	}
 
 	workers := s.cfg.PipelineWorkers
 	var merge *chimerge.Result
@@ -121,47 +141,28 @@ func (s *Server) buildPublication(e *Entry, generation int) (*Publication, error
 			mapping[merge.Mappings[i].Attr] = &merge.Mappings[i]
 		}
 	}
-	groupsOf := func() (*dataset.GroupSet, error) {
-		if merge != nil {
-			return dataset.GroupsOfMapped(raw, merge.Mappings, workers)
+	var groups *dataset.GroupSet
+	if merge != nil {
+		groups, err = dataset.GroupsOfMapped(raw, merge.Mappings, workers)
+		if err != nil {
+			return nil, err
 		}
-		return dataset.GroupsOfParallel(raw, workers), nil
+	} else {
+		groups = dataset.GroupsOfParallel(raw, workers)
 	}
 
-	pm := req.Params()
-	seed := publishSeed(req.Seed, generation)
-	var published, rawGroups *dataset.GroupSet
-	var meta core.Meta
+	var published *dataset.GroupSet
+	var st *core.SPSStats
 	switch req.Method {
 	case MethodSPS:
-		groups, err := groupsOf()
-		if err != nil {
-			return nil, err
-		}
-		out, st, err := core.PublishSPSParallel(seed, groups, pm, s.cfg.PublishWorkers)
-		if err != nil {
-			return nil, err
-		}
-		published, rawGroups, meta = out, groups, core.ExtractMeta(groups, pm, st)
+		published, st, err = core.PublishSPSParallel(seed, groups, pm, s.cfg.PublishWorkers)
 	case MethodUP:
-		groups, err := groupsOf()
-		if err != nil {
-			return nil, err
-		}
-		out, err := core.PublishUPParallel(seed, groups, pm.P, s.cfg.PublishWorkers)
-		if err != nil {
-			return nil, err
-		}
-		published, rawGroups, meta = out, groups, core.ExtractMeta(groups, pm, nil)
-	case MethodIncremental:
-		// Incremental publications never generalize, so raw is the working
-		// table (Normalize forces Significance to 0).
-		published, rawGroups, meta, err = s.buildIncremental(e, raw, pm, seed, generation)
-		if err != nil {
-			return nil, err
-		}
+		published, err = core.PublishUPParallel(seed, groups, pm.P, s.cfg.PublishWorkers)
 	default:
-		return nil, fmt.Errorf("serve: unknown method %q", req.Method)
+		err = fmt.Errorf("serve: unknown method %q", req.Method)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	marg, err := query.BuildMarginalsFromGroupsParallel(published, req.MaxDim, workers)
@@ -175,9 +176,52 @@ func (s *Server) buildPublication(e *Entry, generation int) (*Publication, error
 	// Label resolution runs concurrently across query workers; the lazy
 	// label indexes must be built before the schemas are shared. The raw
 	// schema was primed by loadTable (it is shared across builds); the
-	// generalized schema is private to this build (Remap clones it), except
-	// for incremental publications, where it aliases the already-primed raw
-	// schema and priming again only reads.
+	// generalized schema is private to this build (Remap clones it).
+	marg.Schema.PrimeIndexes()
+	return &Publication{
+		ID:         e.id,
+		Key:        e.key,
+		Req:        e.reqCopy,
+		Generation: generation,
+		CreatedAt:  time.Now(),
+		BuildTime:  time.Since(start),
+		Meta:       core.ExtractMeta(groups, pm, st),
+		Marg:       marg,
+		Eng:        eng,
+		Groups:     groups,
+		Orig:       raw.Schema,
+		mapping:    mapping,
+	}, nil
+}
+
+// indexIncremental indexes the whole state of an incremental publication's
+// streaming publisher as one flat generation. The first build, a refresh, a
+// restore, and an insert whose delta could not be appended all end here.
+// The caller holds e.incMu from before this call until the result is stored
+// in e.pub or dropped: the delta baselines advance to the snapshot taken
+// here, so an insert that slipped in before the store would be in neither
+// this index nor the next delta.
+func (s *Server) indexIncremental(e *Entry, generation int, start time.Time) (*Publication, error) {
+	req := &e.reqCopy
+	e.inc.MarkFlushed()
+	snap := e.inc.Snapshot()
+	// Metadata derives from the publisher's current raw histograms, not the
+	// generation-0 table: after inserts, a refresh must report the stream's
+	// violation profile, not the initial batch's. RawGroups materializes
+	// fresh slices, so the snapshot never aliases the live publisher state.
+	raw := e.inc.RawGroups()
+	meta := core.ExtractMeta(raw, req.Params(), nil)
+	meta.RecordsOut = snap.Total()
+	marg, err := query.BuildMarginalsFromGroupsParallel(snap, req.MaxDim, s.cfg.PipelineWorkers)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := reconstruct.NewEngine(marg, req.P)
+	if err != nil {
+		return nil, err
+	}
+	// The publisher's schema is the primed raw schema (loadTable), so this
+	// only reads.
 	marg.Schema.PrimeIndexes()
 	return &Publication{
 		ID:         e.id,
@@ -189,99 +233,8 @@ func (s *Server) buildPublication(e *Entry, generation int) (*Publication, error
 		Meta:       meta,
 		Marg:       marg,
 		Eng:        eng,
-		Groups:     rawGroups,
+		Groups:     raw,
 		Orig:       raw.Schema,
-		mapping:    mapping,
+		mapping:    make([]*dataset.ValueMapping, raw.Schema.NumAttrs()),
 	}, nil
-}
-
-// buildIncremental creates (generation 0) or rebuilds (refresh) the
-// streaming publisher behind an incremental publication and snapshots it.
-// The raw-group snapshot rides along for the audit endpoint (RawGroups
-// materializes fresh slices, so the snapshot never aliases the live
-// publisher state).
-func (s *Server) buildIncremental(e *Entry, work *dataset.Table, pm core.Params, seed int64, generation int) (*dataset.GroupSet, *dataset.GroupSet, core.Meta, error) {
-	e.incMu.Lock()
-	defer e.incMu.Unlock()
-	if e.inc == nil {
-		inc, err := core.NewIncremental(work.Schema, pm, stats.NewRand(seed))
-		if err != nil {
-			return nil, nil, core.Meta{}, err
-		}
-		if err := inc.AddTable(work); err != nil {
-			return nil, nil, core.Meta{}, err
-		}
-		e.inc = inc
-	} else if generation > 0 {
-		if err := e.inc.Rebuild(); err != nil {
-			return nil, nil, core.Meta{}, err
-		}
-	}
-	// The snapshot below captures the publisher's entire current state, so
-	// the delta baselines must advance with it — otherwise the first
-	// FlushDelta after this build would re-emit everything the index already
-	// holds as a delta generation.
-	e.inc.MarkFlushed()
-	e.dirty.Store(false)
-	snap := e.inc.Snapshot()
-	// Metadata derives from the publisher's current raw histograms, not the
-	// generation-0 table: after inserts, a refresh must report the stream's
-	// violation profile, not the initial batch's.
-	raw := e.inc.RawGroups()
-	meta := core.ExtractMeta(raw, pm, nil)
-	meta.RecordsOut = snap.Total()
-	return snap, raw, meta, nil
-}
-
-// reindexIncremental rebuilds the marginal index of a dirty incremental
-// publication and swaps in a fresh Publication value. It runs under
-// singleflight so a burst of queries behind one insert wave triggers one
-// snapshot + one index build; queries racing the rebuild are answered from
-// the previous index (stale by at most the in-flight insert batch, a
-// documented property of the endpoint).
-func (s *Server) reindexIncremental(e *Entry) (*Publication, error) {
-	v, err, _ := s.sf.Do("reindex:"+e.id, func() (any, error) {
-		old := e.pub.Load()
-		if !e.dirty.Load() {
-			return old, nil
-		}
-		e.incMu.Lock()
-		e.dirty.Store(false)
-		snap := e.inc.Snapshot()
-		raw := e.inc.RawGroups()
-		// Full snapshot taken: advance the delta baselines under the same
-		// lock hold so no concurrent insert can flush state this snapshot
-		// already covers as a duplicate delta.
-		e.inc.MarkFlushed()
-		e.incMu.Unlock()
-		meta := core.ExtractMeta(raw, old.Req.Params(), nil)
-		meta.RecordsOut = snap.Total()
-		marg, err := query.BuildMarginalsFromGroupsParallel(snap, old.Req.MaxDim, s.cfg.PipelineWorkers)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := reconstruct.NewEngine(marg, old.Req.P)
-		if err != nil {
-			return nil, err
-		}
-		pub := *old // shallow copy: shared fields are immutable
-		pub.Marg = marg
-		pub.Eng = eng
-		pub.Groups = raw
-		pub.Meta = meta
-		if !e.pub.CompareAndSwap(old, &pub) {
-			// A concurrent /refresh swapped in a new generation while we
-			// re-indexed. Depending on snapshot order either publication may
-			// be fresher, so keep the refresh (its generation bump must not
-			// be lost) and set dirty again: the next query re-indexes on top
-			// of it if inserts are not yet reflected.
-			e.dirty.Store(true)
-			return e.pub.Load(), nil
-		}
-		return &pub, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Publication), nil
 }

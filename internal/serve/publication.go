@@ -188,8 +188,8 @@ func IDForKey(key string) string {
 // Publication is an immutable served publication: the perturbed data's
 // marginal index plus everything needed to answer and translate queries.
 // It is built once (buildPublication), published via one atomic pointer
-// store, and never mutated afterwards — refreshes and incremental
-// re-indexing swap in a fresh value.
+// store, and never mutated afterwards — refreshes and inserts swap in a
+// fresh value.
 type Publication struct {
 	ID  string
 	Key string
@@ -217,7 +217,7 @@ type Publication struct {
 	// generalized data — the input of the Corollary 4 test, which POST
 	// /audit sweeps to measure per-group tail probabilities. For
 	// incremental publications it is a snapshot of the stream's raw
-	// histograms at build/re-index time.
+	// histograms as of the last build or insert.
 	Groups *dataset.GroupSet
 
 	// Orig is the pre-generalization schema — the vocabulary clients speak —

@@ -36,7 +36,9 @@ func stateName(s int32) string {
 // atomic load; publishes and refreshes build off to the side and swap, so
 // readers never wait on a build. Incremental publications additionally carry
 // the mutable streaming state, serialized by incMu — the only lock on the
-// insert path, never taken by pure queries.
+// insert path, never taken by pure queries. Once an incremental entry is
+// ready, every store of its pub happens under incMu: insert appends,
+// compaction installs and refreshes.
 type Entry struct {
 	id      string
 	key     string
@@ -61,17 +63,15 @@ type Entry struct {
 	buildMu   sync.Mutex
 	retryDone chan struct{} // open while a retry build is in flight; guarded by buildMu
 
-	// Incremental state: inc is set exactly once, by the generation-0 build;
-	// dirty flags that inserts have outrun the marginal index (the delta
-	// path leaves it clear — it is the fallback for lost races and errors).
+	// Incremental state: inc is set exactly once, by the generation-0 build
+	// or a restore.
 	incMu sync.Mutex
 	inc   *core.Incremental
-	dirty atomic.Bool
 
 	// Raw-group overlay state for the delta-insert path, guarded by incMu:
 	// ovIdx maps encoded group key -> index into ovBase.Groups, and is only
 	// valid while the served publication's Groups is ovBase (overlayRaw
-	// rebuilds it otherwise, e.g. after a refresh or full reindex).
+	// rebuilds it otherwise, e.g. after a refresh).
 	ovBase *dataset.GroupSet
 	ovIdx  map[uint64]int32
 

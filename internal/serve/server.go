@@ -27,7 +27,7 @@ type Config struct {
 	PublishWorkers int
 	// PipelineWorkers bounds the cold-path preprocessing parallelism — the
 	// fused chi-square generalization scan, the sharded grouping pass, and
-	// the concurrent marginal-cube fill of every build and re-index
+	// the concurrent marginal-cube fill of every build and refresh
 	// (default GOMAXPROCS). Results are bit-identical at any width; the
 	// knob only trades build latency against CPU available for queries.
 	PipelineWorkers int
@@ -42,12 +42,6 @@ type Config struct {
 	// (every cell read sums one value per generation). Answers and digests
 	// are identical at any setting. Default 8; -1 disables compaction.
 	CompactEvery int
-	// IngestLegacyReindex restores the pre-delta insert path: every insert
-	// batch marks the publication dirty and the next query rebuilds the
-	// whole index from a full snapshot. It exists as the baseline for the
-	// sustained-ingest benchmark (rpbench -exp ingest) and as an escape
-	// hatch; the delta path is the default.
-	IngestLegacyReindex bool
 	// ExposureWarn is the per-client cumulative answered-query count above
 	// which query responses set exposure_warning — the operator's signal
 	// that one client has gathered enough answers for a linear
@@ -508,11 +502,8 @@ func (s *Server) handlePublications(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolvePublication loads the ready publication behind id, handling the
-// pending/failed states and — when reindex is set — the lazy rebuild of a
-// dirty incremental entry's marginal index. Readers that only need the
-// schema and entry state (the insert path, which would invalidate a fresh
-// index immediately anyway) pass reindex = false.
-func (s *Server) resolvePublication(w http.ResponseWriter, id string, wait, reindex bool) (*Publication, bool) {
+// pending and failed states.
+func (s *Server) resolvePublication(w http.ResponseWriter, id string, wait bool) (*Publication, bool) {
 	e := s.reg.get(id)
 	if e == nil {
 		WriteError(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("no publication %q", id))
@@ -540,14 +531,6 @@ func (s *Server) resolvePublication(w http.ResponseWriter, id string, wait, rein
 		WriteError(w, http.StatusConflict, CodeRebuilding,
 			fmt.Errorf("publication %q is rebuilding (retry shortly)", id))
 		return nil, false
-	}
-	if reindex && e.inc != nil && e.dirty.Load() {
-		pub, err := s.reindexIncremental(e)
-		if err != nil {
-			WriteError(w, http.StatusInternalServerError, CodeInternal, err)
-			return nil, false
-		}
-		return pub, true
 	}
 	return e.pub.Load(), true
 }
@@ -620,8 +603,26 @@ func (s *Server) refreshRun(e *Entry, id string) func() (any, error) {
 		// The entry is ready and cannot become failed while we rebuild
 		// (only first-build/retry settles set that state, and none can be
 		// in flight here), so the publication swap below is safe.
-		old := e.pub.Load()
-		pub, err := s.buildPublication(e, old.Generation+1)
+		generation := e.pub.Load().Generation + 1
+		var pub *Publication
+		var err error
+		if e.inc != nil {
+			// An incremental refresh re-runs SPS over the publisher's raw
+			// histograms and holds incMu from the rebuild to the pointer
+			// store, so an insert lands either before the rebuild or as a
+			// delta on the new generation.
+			start := time.Now()
+			e.incMu.Lock()
+			if err = e.inc.Rebuild(); err == nil {
+				pub, err = s.indexIncremental(e, generation, start)
+			}
+			if err == nil {
+				e.pub.Store(pub)
+			}
+			e.incMu.Unlock()
+		} else if pub, err = s.buildPublication(e, generation); err == nil {
+			e.pub.Store(pub)
+		}
 		if err != nil {
 			// The old publication keeps serving; surface the failure on the
 			// entry (visible in /publications) and in /statsz rather than
@@ -631,22 +632,7 @@ func (s *Server) refreshRun(e *Entry, id string) func() (any, error) {
 			e.failure.Store(&msg)
 			return nil, err
 		}
-		e.pub.Store(pub)
-		e.state.Store(stateReady)
 		e.failure.Store(nil)
-		if e.inc != nil {
-			// Inserts may have landed between this refresh's snapshot and
-			// the store (including a reindex swap the store just replaced).
-			// Record counts only grow, so a mismatch against the snapshot
-			// total means the index is stale: flag it so the next query
-			// re-indexes on top of the refreshed publication.
-			e.incMu.Lock()
-			stale := e.inc.Stats().Records != pub.Meta.RecordsOut
-			e.incMu.Unlock()
-			if stale {
-				e.dirty.Store(true)
-			}
-		}
 		return pub, nil
 	}
 }

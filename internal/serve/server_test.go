@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -218,17 +219,20 @@ func TestPublishSingleflightDedupe(t *testing.T) {
 
 // TestConcurrentPublishQuery is the race test (run with -race in CI):
 // publishers, queriers, inserters, and refreshers all hit one server at
-// once.
+// once, and refreshes of the incremental publication race its inserts.
 func TestConcurrentPublishQuery(t *testing.T) {
 	s, ts := startServer(t, Config{})
 
-	// Pre-publish the queried and the incremental publications.
+	// Pre-publish the queried and the incremental publications. The
+	// incremental one is large enough that a refresh's index build spans
+	// several inserts.
 	qe, _, err := s.Publish(medicalRequest(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	incReq := medicalRequest()
 	incReq.Method = MethodIncremental
+	incReq.Size = 20000
 	ie, _, err := s.Publish(incReq, true)
 	if err != nil {
 		t.Fatal(err)
@@ -274,51 +278,71 @@ func TestConcurrentPublishQuery(t *testing.T) {
 		}(i)
 	}
 	// Inserters into the incremental publication.
-	for i := 0; i < 2; i++ {
+	const inserters, batches, perBatch = 2, 20, 10
+	for i := 0; i < inserters; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			for r := 0; r < 5; r++ {
-				var resp insertResponse
-				code := post(t, ts.URL+"/insert", insertRequest{
-					ID: ie.ID(),
-					Records: []map[string]string{
-						{"Gender": "Male", "Job": "Engineer", "Disease": "Flu"},
-						{"Gender": "Female", "Job": "Teacher", "Disease": "Migraine"},
-					},
-				}, &resp)
-				if code != http.StatusOK {
+			rng := rand.New(rand.NewSource(int64(i)))
+			for r := 0; r < batches; r++ {
+				recs, _ := insertBatch(rng, perBatch)
+				if code := post(t, ts.URL+"/insert", insertRequest{ID: ie.ID(), Records: recs}, nil); code != http.StatusOK {
 					t.Errorf("insert returned %d", code)
 					return
 				}
 			}
-		}()
+		}(i)
 	}
-	// Refreshers of the SPS publication.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for r := 0; r < 3; r++ {
-			code := post(t, ts.URL+"/refresh", refreshRequest{ID: qe.ID(), Wait: true}, nil)
-			if code != http.StatusOK {
-				t.Errorf("refresh returned %d", code)
-				return
+	// Refreshers of the SPS publication, and of the incremental one racing
+	// its inserts.
+	for id, n := range map[string]int{qe.ID(): 3, ie.ID(): 5} {
+		wg.Add(1)
+		go func(id string, n int) {
+			defer wg.Done()
+			for r := 0; r < n; r++ {
+				code := post(t, ts.URL+"/refresh", refreshRequest{ID: id, Wait: true}, nil)
+				if code != http.StatusOK {
+					t.Errorf("refresh returned %d", code)
+					return
+				}
 			}
-		}
-	}()
+		}(id, n)
+	}
 	wg.Wait()
 
 	st := s.Stats()
 	if st.QueryErrors != 0 {
 		t.Fatalf("%d per-query errors", st.QueryErrors)
 	}
-	if st.Inserts != 20 {
-		t.Fatalf("inserts %d, want 20", st.Inserts)
+	inserted := inserters * batches * perBatch
+	if st.Inserts != uint64(inserted) {
+		t.Fatalf("inserts %d, want %d", st.Inserts, inserted)
+	}
+
+	// Every request has returned and no query has run since. The served
+	// publication must hold every acknowledged batch, each appended once,
+	// and be the publication a full index of the publisher's state serves.
+	pub, err := ie.Publication()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := incReq.Size + inserted; pub.Meta.Records != want {
+		t.Fatalf("served publication holds %d raw records, want %d: an acknowledged batch is missing", pub.Meta.Records, want)
+	}
+	if st.IngestAppends != inserters*batches {
+		t.Fatalf("ingest_appends %d, want one per insert batch (%d)", st.IngestAppends, inserters*batches)
+	}
+	_, tsFull := startServer(t, Config{})
+	if code := post(t, tsFull.URL+"/restore", snapshotOf(t, ts.URL, ie.ID()), nil); code != http.StatusOK {
+		t.Fatalf("restore returned %d", code)
+	}
+	if d, full := getDigest(t, ts.URL, ie.ID()), getDigest(t, tsFull.URL, ie.ID()); d != full {
+		t.Fatalf("served digest %+v, a full index of the same state %+v", d, full)
 	}
 }
 
 // TestInsertAbsorbsRecords checks the incremental path end to end: inserts
-// land without a republish, and the next query serves the re-indexed data.
+// land without a republish, and the next query serves the grown data.
 func TestInsertAbsorbsRecords(t *testing.T) {
 	s, ts := startServer(t, Config{})
 	req := medicalRequest()
@@ -344,8 +368,8 @@ func TestInsertAbsorbsRecords(t *testing.T) {
 		t.Fatalf("total records %d, want 1050", ins.TotalRecords)
 	}
 
-	// The next query triggers the lazy re-index; afterwards the publication
-	// metadata reflects the grown data.
+	// The next query is answered from, and the publication metadata
+	// reflects, the grown data.
 	var resp QueryResponse
 	if code := post(t, ts.URL+"/query", queryRequest{
 		ID:      e.ID(),
@@ -358,7 +382,7 @@ func TestInsertAbsorbsRecords(t *testing.T) {
 		t.Fatal("publication lookup failed")
 	}
 	if info.Meta == nil || info.Meta.Records != 1050 || info.Meta.RecordsOut != 1050 {
-		t.Fatalf("metadata not re-indexed: %+v", info.Meta)
+		t.Fatalf("metadata does not cover the insert: %+v", info.Meta)
 	}
 
 	// Inserting into a non-incremental publication is refused.

@@ -3,12 +3,8 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"time"
 
 	"github.com/reconpriv/reconpriv/internal/core"
-	"github.com/reconpriv/reconpriv/internal/dataset"
-	"github.com/reconpriv/reconpriv/internal/query"
-	"github.com/reconpriv/reconpriv/internal/reconstruct"
 )
 
 // PublicationSnapshot is the portable checkpoint of one publication: the
@@ -55,7 +51,7 @@ func (s *Server) SnapshotPublication(id string) (*PublicationSnapshot, error) {
 // RestorePublication installs a snapshot into this server as a fresh
 // publication and builds its serving index synchronously. The target id must
 // not already exist — restore initializes a replacement replica, it does not
-// reconcile live state. For batch methods the build is the deterministic
+// merge into live state. For batch methods the build is the deterministic
 // generation rebuild; for incremental publications the streaming publisher
 // is restored mid-stream and a flat index is materialized from its full
 // state, after which the delta baselines are aligned with that index so the
@@ -82,10 +78,11 @@ func (s *Server) RestorePublication(snap *PublicationSnapshot) (*Entry, error) {
 	if !created {
 		return nil, fmt.Errorf("serve: publication %q already exists; restore targets a fresh replica", e.id)
 	}
-	var pub *Publication
 	if req.Method == MethodIncremental {
-		pub, err = s.buildFromIncState(e, snap)
-	} else {
+		err = s.restorePublisher(e, snap.Inc)
+	}
+	var pub *Publication
+	if err == nil {
 		pub, err = s.buildPublication(e, snap.Generation)
 	}
 	e.settle(pub, err)
@@ -95,58 +92,25 @@ func (s *Server) RestorePublication(snap *PublicationSnapshot) (*Entry, error) {
 	return e, nil
 }
 
-// buildFromIncState materializes a publication from a restored streaming
-// publisher: the snapshot's full state becomes one flat generation carrying
-// the checkpointed generation number. Digests agree with the checkpointed
-// holder because marginal checksums fold effective counts (stable across
-// generation stacking) and RawGroups emits insertion order — the same order
-// the holder's overlay maintained.
-func (s *Server) buildFromIncState(e *Entry, snap *PublicationSnapshot) (*Publication, error) {
-	req := &e.reqCopy
-	start := time.Now()
-	raw, err := s.loadTable(req)
+// restorePublisher installs a snapshot's streaming publisher, mid-stream,
+// on the fresh entry restore created; buildPublication then indexes its
+// whole state at the checkpointed generation. Digests agree with the
+// checkpointed holder because marginal checksums fold effective counts
+// (stable across generation stacking) and RawGroups emits insertion order —
+// the same order the holder's overlay maintained.
+func (s *Server) restorePublisher(e *Entry, st *core.IncrementalState) error {
+	raw, err := s.loadTable(&e.reqCopy)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	pm := req.Params()
-	inc, err := core.RestoreIncremental(raw.Schema, pm, snap.Inc)
+	inc, err := core.RestoreIncremental(raw.Schema, e.reqCopy.Params(), st)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.incMu.Lock()
 	e.inc = inc
-	// The index below covers the publisher's entire state; align the delta
-	// baselines with it (cf. buildIncremental).
-	inc.MarkFlushed()
-	e.dirty.Store(false)
-	snapGS := inc.Snapshot()
-	rawGS := inc.RawGroups()
 	e.incMu.Unlock()
-	meta := core.ExtractMeta(rawGS, pm, nil)
-	meta.RecordsOut = snapGS.Total()
-	marg, err := query.BuildMarginalsFromGroupsParallel(snapGS, req.MaxDim, s.cfg.PipelineWorkers)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := reconstruct.NewEngine(marg, pm.P)
-	if err != nil {
-		return nil, err
-	}
-	marg.Schema.PrimeIndexes()
-	return &Publication{
-		ID:         e.id,
-		Key:        e.key,
-		Req:        e.reqCopy,
-		Generation: snap.Generation,
-		CreatedAt:  time.Now(),
-		BuildTime:  time.Since(start),
-		Meta:       meta,
-		Marg:       marg,
-		Eng:        eng,
-		Groups:     rawGS,
-		Orig:       raw.Schema,
-		mapping:    make([]*dataset.ValueMapping, raw.Schema.NumAttrs()),
-	}, nil
+	return nil
 }
 
 // snapshotRequest is the body of POST /snapshot.
@@ -198,9 +162,7 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("missing id"))
 		return
 	}
-	// resolvePublication re-indexes a dirty incremental entry first, so the
-	// digest always reflects every acknowledged insert.
-	pub, ok := s.resolvePublication(w, id, true, true)
+	pub, ok := s.resolvePublication(w, id, true)
 	if !ok {
 		return
 	}

@@ -159,7 +159,7 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name:             "churn",
-			Description:      "insert/refresh-heavy streaming publication with queries racing re-indexing",
+			Description:      "insert/refresh-heavy streaming publication: refreshes race inserts and queries",
 			Publish:          simDataset(serve.MethodIncremental),
 			Mix:              Mix{Query: 3, Insert: 5, Refresh: 1},
 			Clients:          8,

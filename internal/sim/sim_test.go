@@ -20,9 +20,8 @@ import (
 // committed golden (testdata/<scenario>.golden.json, rpsim's stdout for
 // `go run ./cmd/rpsim -scenario <name> -seed 1 -clients 4 -steps 6`), so a
 // change that moves any summary byte shows up here. The churn scenario doubles
-// as the concurrency stressor: N clients race inserts against /query
-// re-indexing and /refresh rebuilds, which is what the CI -race job leans
-// on.
+// as the concurrency stressor: N clients race inserts and queries against
+// /refresh rebuilds, which is what the CI -race job leans on.
 func TestSimScenarios(t *testing.T) {
 	for _, sc := range Scenarios() {
 		sc := sc
