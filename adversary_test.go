@@ -117,6 +117,14 @@ func TestAdversaryEstimateCountMatchesScan(t *testing.T) {
 		if d := math.Abs(ests[i].Estimate - want); d > 1e-12 {
 			t.Fatalf("query %d: batch %v scan %v", i, ests[i].Estimate, want)
 		}
+		// CountPairs takes Size as the ratio attack's x.
+		size, err := Count(pub, q.Conds, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ests[i].Size != size {
+			t.Fatalf("query %d: batch size %d, Count %d", i, ests[i].Size, size)
+		}
 	}
 }
 

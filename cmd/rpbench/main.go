@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	rpbench [-exp all|table1,table2,table4,table5,fig1,fig2,fig3,fig4,fig5,
-//	             audit,adversary,fleet,wire,budget,outputvs,coldpublish,ablations]
-//	        [-runs N] [-trials N] [-census-size N] [-seed N]
+//	rpbench [-exp all|table1,table2,table4,table5,fig1,fig1b,fig2,fig3,fig4,fig5,
+//	             audit,budget,outputvs,ablations]
+//	        [-runs N] [-trials N] [-census-size N] [-seed N] [-json DIR]
 //
 // Each experiment prints the same rows/series as the corresponding artifact
 // in the paper; EXPERIMENTS.md records the paper-vs-measured comparison.
@@ -21,36 +21,17 @@ import (
 	"time"
 
 	"github.com/reconpriv/reconpriv/internal/experiments"
-	"github.com/reconpriv/reconpriv/internal/fleet"
 )
 
 func main() {
-	// When re-executed as a replica child of a cross-process fleet
-	// scenario, serve and never return.
-	fleet.ChildServeMain()
-
 	var (
-		exp        = flag.String("exp", "all", "comma-separated experiments: table1,table2,table4,table5,fig1,fig2,fig3,fig4,fig5,audit,adversary,fleet,wire,budget,outputvs,coldpublish,ablations")
 		runs       = flag.Int("runs", experiments.DefaultRuns, "independent perturbation runs per error point")
 		trials     = flag.Int("trials", 10, "noise trials for Table 1")
 		censusSize = flag.Int("census-size", experiments.DefaultCensusSize, "default CENSUS sample size")
 		seed       = flag.Int64("seed", experiments.RunSeed, "seed for randomized experiments")
 		jsonDir    = flag.String("json", "", "also write each result as BENCH_<name>.json in this directory")
 	)
-	flag.Parse()
-	if *jsonDir != "" {
-		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "rpbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-	ran := 0
-	for _, e := range []struct {
+	table := []struct {
 		name string
 		run  func() (fmt.Stringer, error)
 	}{
@@ -65,14 +46,29 @@ func main() {
 		{"fig4", func() (fmt.Stringer, error) { return sweepAll(false, false, *censusSize, 0) }},
 		{"fig5", func() (fmt.Stringer, error) { return sweepAll(false, true, *censusSize, *runs) }},
 		{"audit", func() (fmt.Stringer, error) { return runAudits(*censusSize, *seed) }},
-		{"adversary", func() (fmt.Stringer, error) { return experiments.RunAdversaryBench(*censusSize, 1000) }},
-		{"fleet", func() (fmt.Stringer, error) { return experiments.RunFleetBench(8, 20, *seed) }},
-		{"wire", func() (fmt.Stringer, error) { return experiments.RunWireBench(*censusSize, 2) }},
 		{"budget", func() (fmt.Stringer, error) { return experiments.RunBudgetBench(0, *seed) }},
-		{"coldpublish", func() (fmt.Stringer, error) { return experiments.RunColdPublish(*censusSize, 5) }},
 		{"outputvs", func() (fmt.Stringer, error) { return runOutputVs(*censusSize, *runs) }},
 		{"ablations", func() (fmt.Stringer, error) { return runAblations(*censusSize, *runs, *seed) }},
-	} {
+	}
+	names := make([]string, len(table))
+	for i, e := range table {
+		names[i] = e.name
+	}
+	exp := flag.String("exp", "all", "comma-separated experiments: "+strings.Join(names, ",")+", or all")
+	flag.Parse()
+	if *jsonDir != "" {
+		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
+			fmt.Fprintf(os.Stderr, "rpbench: %v\n", err)
+			os.Exit(1)
+		}
+	}
+	want := map[string]bool{}
+	for _, e := range strings.Split(*exp, ",") {
+		want[strings.TrimSpace(e)] = true
+	}
+	all := want["all"]
+	ran := 0
+	for _, e := range table {
 		if !all && !want[e.name] {
 			continue
 		}

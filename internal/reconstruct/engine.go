@@ -30,15 +30,16 @@ type Counter interface {
 	SubsetCountsInto(conds []Condition, dst []int) (int, error)
 }
 
-// Engine answers batched adversary workloads — full-distribution
-// reconstructions and count estimates over arbitrary condition sets —
-// against published data through a Counter. It holds no mutable state, so
-// one Engine is safe for any number of concurrent batches; a served
-// publication builds one next to its marginal index.
+// Engine answers batched full-distribution reconstructions over arbitrary
+// condition sets against published data through a Counter. It holds no
+// mutable state, so one Engine is safe for any number of concurrent
+// batches; a served publication builds one next to its marginal index.
 //
-// The estimators are exactly Lemma 2 (MLE / MLEValue) evaluated on indexed
-// subset counts instead of per-call row scans; the scan path in the public
-// Reconstruct API is kept as the cross-checked reference implementation.
+// The estimator is exactly Lemma 2 (MLE) evaluated on indexed subset counts
+// instead of per-call row scans; the scan path in the public Reconstruct API
+// is kept as the cross-checked reference implementation. Count estimates
+// (Section 6.1) need one cell, not the whole histogram, and come from
+// query.Marginals.AnswerBatch.
 type Engine struct {
 	src Counter
 	p   float64
@@ -60,13 +61,6 @@ func NewEngine(src Counter, p float64) (*Engine, error) {
 	}
 	return &Engine{src: src, p: p, m: m}, nil
 }
-
-// SADomain returns m, the sensitive-attribute domain size of the engine's
-// source.
-func (e *Engine) SADomain() int { return e.m }
-
-// P returns the retention probability the engine inverts.
-func (e *Engine) P() float64 { return e.p }
 
 // BatchOptions tune one batch evaluation.
 type BatchOptions struct {
@@ -130,57 +124,4 @@ func (e *Engine) reconstructOne(conds []Condition, counts []int, clamp bool) Rec
 		ClampSimplex(freqs)
 	}
 	return Reconstruction{Freqs: freqs, Size: size}
-}
-
-// CountQuery is one count-estimate request: conjunctive public-attribute
-// conditions plus one sensitive value (Eq. 11 in engine codes).
-type CountQuery struct {
-	Conds []Condition
-	SA    uint16
-}
-
-// CountEstimate is one CountQuery's result within an EstimateCountBatch.
-type CountEstimate struct {
-	// Estimate is est = |S*|·F' (Section 6.1); 0 for an empty subset.
-	Estimate float64
-	// Size is the observed subset size |S*|.
-	Size int
-	// Observed is the raw perturbed count O* of the requested value.
-	Observed int
-	// Err reports a per-query failure; an empty subset is not an error.
-	Err error
-}
-
-// EstimateCountBatch evaluates the Section 6.1 count estimator for every
-// query, in input order — the batched form of the public EstimateCount.
-func (e *Engine) EstimateCountBatch(qs []CountQuery, opt BatchOptions) []CountEstimate {
-	out := make([]CountEstimate, len(qs))
-	par.Striped(len(qs), opt.Workers, func(_, lo, hi int) {
-		counts := make([]int, e.m)
-		for i := lo; i < hi; i++ {
-			out[i] = e.estimateOne(qs[i], counts)
-		}
-	})
-	return out
-}
-
-// estimateOne evaluates one count query, reusing the caller's scratch
-// histogram.
-func (e *Engine) estimateOne(q CountQuery, counts []int) CountEstimate {
-	if int(q.SA) >= e.m {
-		return CountEstimate{Err: fmt.Errorf("reconstruct: SA value %d out of domain", q.SA)}
-	}
-	size, err := e.src.SubsetCountsInto(q.Conds, counts)
-	if err != nil {
-		return CountEstimate{Err: err}
-	}
-	if size == 0 {
-		return CountEstimate{}
-	}
-	obs := counts[q.SA]
-	return CountEstimate{
-		Estimate: float64(size) * MLEValue(obs, size, e.p, e.m),
-		Size:     size,
-		Observed: obs,
-	}
 }

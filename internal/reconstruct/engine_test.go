@@ -91,12 +91,8 @@ func TestEngineValidation(t *testing.T) {
 			t.Errorf("p = %v should error", p)
 		}
 	}
-	eng, err := reconstruct.NewEngine(marg, 0.5)
-	if err != nil {
+	if _, err := reconstruct.NewEngine(marg, 0.5); err != nil {
 		t.Fatal(err)
-	}
-	if eng.SADomain() != 3 || eng.P() != 0.5 {
-		t.Errorf("engine reports m=%d p=%v", eng.SADomain(), eng.P())
 	}
 }
 
@@ -208,36 +204,9 @@ func TestReconstructBatchClamp(t *testing.T) {
 	}
 }
 
-func TestEstimateCountBatchMatchesScan(t *testing.T) {
-	tab, _, eng := engineFixture(t, 9, 400)
-	rng := stats.NewRand(10)
-	sets := randomSets(rng, 150)
-	qs := make([]reconstruct.CountQuery, len(sets))
-	for i := range qs {
-		qs[i] = reconstruct.CountQuery{Conds: sets[i], SA: uint16(rng.Intn(3))}
-	}
-	got := eng.EstimateCountBatch(qs, reconstruct.BatchOptions{})
-	for i, q := range qs {
-		counts, size := scanCounts(tab, q.Conds)
-		if got[i].Err != nil {
-			t.Fatalf("query %d: %v", i, got[i].Err)
-		}
-		if got[i].Size != size || (size > 0 && got[i].Observed != counts[q.SA]) {
-			t.Fatalf("query %d: size/observed mismatch", i)
-		}
-		want := 0.0
-		if size > 0 {
-			want = float64(size) * reconstruct.MLEValue(counts[q.SA], size, 0.5, 3)
-		}
-		if math.Abs(got[i].Estimate-want) > 1e-12 {
-			t.Fatalf("query %d: estimate %v, scan %v", i, got[i].Estimate, want)
-		}
-	}
-}
-
-func TestEstimateCountBatchEmptySubset(t *testing.T) {
-	// An empty subset is a valid adversary probe: the estimate is 0 with no
-	// error, matching the public EstimateCount contract.
+func TestReconstructBatchEmptySubset(t *testing.T) {
+	// An empty subset is a valid adversary probe: size 0 and nil freqs with
+	// no error, where the public scan Reconstruct errors.
 	schema := dataset.MustSchema([]dataset.Attribute{
 		{Name: "A", Values: []string{"a0", "a1"}},
 		{Name: "S", Values: []string{"s0", "s1"}},
@@ -255,18 +224,9 @@ func TestEstimateCountBatchEmptySubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := []reconstruct.Condition{{Attr: 0, Value: 1}}
-	est := eng.EstimateCountBatch([]reconstruct.CountQuery{{Conds: empty, SA: 0}}, reconstruct.BatchOptions{})
-	if est[0].Err != nil || est[0].Estimate != 0 || est[0].Size != 0 {
-		t.Errorf("empty subset estimate = %+v, want zero with no error", est[0])
-	}
 	rec := eng.ReconstructBatch([][]reconstruct.Condition{empty}, reconstruct.BatchOptions{})
 	if rec[0].Err != nil || rec[0].Size != 0 || rec[0].Freqs != nil {
 		t.Errorf("empty subset reconstruction = %+v, want zero with no error", rec[0])
-	}
-	// Out-of-domain SA is an error, not a zero.
-	bad := eng.EstimateCountBatch([]reconstruct.CountQuery{{Conds: empty, SA: 9}}, reconstruct.BatchOptions{})
-	if bad[0].Err == nil {
-		t.Error("out-of-domain SA should error")
 	}
 }
 

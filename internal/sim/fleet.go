@@ -47,19 +47,14 @@ type FleetPlan struct {
 	// CrossProcess runs each replica as a spawned child process of this
 	// binary, reached over real sockets — kills become real process exits
 	// and restarts respawn and replay. The process embedding the simulator
-	// must call fleet.ChildServeMain first thing in main (rpsim, rpbench,
-	// and the test binaries all do).
+	// must call fleet.ChildServeMain first thing in main (rpsim and this
+	// package's test binary do).
 	CrossProcess bool `json:"cross_process,omitempty"`
 	// CheckpointLog is the fleet's mutation-log fold threshold (0 keeps the
 	// fleet default; negative disables checkpointing). Ingest-style fleet
 	// scenarios set it low so logs fold repeatedly mid-run and the
 	// restarted replica restores snapshot + tail rather than full history.
 	CheckpointLog int `json:"checkpoint_log,omitempty"`
-	// TolerateUnavailable accepts typed 429/503 rejections as outcomes —
-	// tallied, not violations. Required when the plan makes loss reachable
-	// (replication factor 1 plus a kill and no restart); such runs trade
-	// away summary determinism, so no built-in scenario sets it.
-	TolerateUnavailable bool `json:"tolerate_unavailable,omitempty"`
 }
 
 // withDefaults resolves zero fields.
@@ -114,9 +109,6 @@ type FleetTiming struct {
 	// count depends on which holders were alive at each threshold crossing,
 	// so it reports here, not in the summary.
 	Checkpoints uint64 `json:"checkpoints"`
-	// Rejected counts client operations that ended in a tolerated 429/503
-	// (always zero unless the plan sets TolerateUnavailable).
-	Rejected int64 `json:"rejected"`
 }
 
 // fleetRunner holds the state shared by every client of one fleet run.
@@ -135,7 +127,7 @@ type fleetRunner struct {
 	hc   *http.Client
 	// fold reports whether answers are folded into the summary digest:
 	// only when the workload never mutates state (answers are then
-	// interleaving-independent) and no rejections are tolerated.
+	// interleaving-independent).
 	fold bool
 
 	check *checker
@@ -149,7 +141,6 @@ type fleetRunner struct {
 	victim    int
 	kills     atomic.Int64
 	restarts  atomic.Int64
-	rejected  atomic.Int64
 }
 
 // runFleet executes one scenario against a replicated fleet.
@@ -169,7 +160,7 @@ func runFleet(opts Options, sc Scenario) (*Result, error) {
 		r.steps = sc.Steps
 	}
 
-	r.fold = sc.DeterministicAnswers() && !r.plan.TolerateUnavailable
+	r.fold = sc.DeterministicAnswers()
 
 	cfg := opts.Config
 	if cfg.Clock == nil {
@@ -332,20 +323,6 @@ func (r *fleetRunner) randomCondsOn(rng *stats.Rand, pub *serve.Publication) []s
 	return conds
 }
 
-// tolerated reports (and tallies) an outcome the plan accepts instead of
-// requiring success: a typed rejection or a transport failure while the
-// fleet has no serving holder.
-func (r *fleetRunner) tolerated(code int, err error) bool {
-	if !r.plan.TolerateUnavailable {
-		return false
-	}
-	if err != nil || code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-		r.rejected.Add(1)
-		return true
-	}
-	return false
-}
-
 // doQuery issues one query batch through the router and validates shape,
 // answers, and the router's cumulative exposure ledger.
 func (r *fleetRunner) doQuery(rng *stats.Rand, id, idem string, res *clientResult, digest *stats.Digest) {
@@ -369,9 +346,6 @@ func (r *fleetRunner) doQuery(rng *stats.Rand, id, idem string, res *clientResul
 	} else {
 		code, err = r.timedPost("query", res, "/query", idem,
 			map[string]any{"id": pid, "client": id, "queries": qs, "wait": true}, &resp)
-	}
-	if r.tolerated(code, err) {
-		return
 	}
 	if !r.check.check(err == nil && code == http.StatusOK, "query returned %d (%v)", code, err) {
 		return
@@ -414,9 +388,6 @@ func (r *fleetRunner) doInsert(rng *stats.Rand, idem string, res *clientResult) 
 	var resp insertWire
 	code, err := r.timedPost("insert", res, "/insert", idem,
 		map[string]any{"id": pid, "records": recs, "wait": true}, &resp)
-	if r.tolerated(code, err) {
-		return
-	}
 	if !r.check.check(err == nil && code == http.StatusOK, "insert returned %d (%v)", code, err) {
 		return
 	}
@@ -435,9 +406,6 @@ func (r *fleetRunner) doRefresh(rng *stats.Rand, idem string, res *clientResult)
 	}
 	code, err := r.timedPost("refresh", res, "/refresh", idem,
 		map[string]any{"id": pid}, &view)
-	if r.tolerated(code, err) {
-		return
-	}
 	if !r.check.check(err == nil && code == http.StatusOK, "refresh returned %d (%v)", code, err) {
 		return
 	}
@@ -454,9 +422,6 @@ func (r *fleetRunner) doReconstruct(rng *stats.Rand, id, idem string, res *clien
 	var resp reconstructWire
 	code, err := r.timedPost("reconstruct", res, "/reconstruct", idem,
 		map[string]any{"id": pid, "client": id, "subsets": subsets, "wait": true}, &resp)
-	if r.tolerated(code, err) {
-		return
-	}
 	if !r.check.check(err == nil && code == http.StatusOK, "reconstruct returned %d (%v)", code, err) {
 		return
 	}
@@ -479,9 +444,6 @@ func (r *fleetRunner) doAudit(rng *stats.Rand, idem string, res *clientResult) {
 	var resp auditWire
 	code, err := r.timedPost("audit", res, "/audit", idem,
 		map[string]any{"id": pid, "trials": r.sc.AuditTrials, "seed": seed, "top": 5, "wait": true}, &resp)
-	if r.tolerated(code, err) {
-		return
-	}
 	if !r.check.check(err == nil && code == http.StatusOK, "audit returned %d (%v)", code, err) {
 		return
 	}
@@ -535,15 +497,6 @@ func (r *fleetRunner) finish(results []clientResult, wall time.Duration) (*Resul
 	// bit-identical state on all of them — including a restarted victim,
 	// which rebuilt from the request and replayed missed generations.
 	for _, id := range r.ids {
-		live := 0
-		for _, h := range r.f.Holders(id) {
-			if r.f.Alive(h) {
-				live++
-			}
-		}
-		if live == 0 {
-			continue // rf 1 with an unrestarted kill; reachable only under TolerateUnavailable
-		}
 		err := r.f.ReplicaAgreement(id)
 		r.check.check(err == nil, "replica agreement on %s: %v", id, err)
 	}
@@ -605,7 +558,6 @@ func (r *fleetRunner) finish(results []clientResult, wall time.Duration) (*Resul
 			Unavailable: st.Unavailable,
 			Verified:    st.Verified,
 			Checkpoints: st.Checkpoints,
-			Rejected:    r.rejected.Load(),
 		},
 	}
 	if s := wall.Seconds(); s > 0 {

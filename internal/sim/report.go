@@ -145,10 +145,10 @@ func (r *Result) Report() string {
 			s.Fleet.Kills, s.Fleet.Restarts, s.Fleet.VerifyMismatches)
 	}
 	if t.Fleet != nil {
-		fmt.Fprintf(&b, "router: %d requests, %d retries, %d failovers; ejected %d, probed %d, reinstated %d; shed %d, unavailable %d, verified %d, rejected %d\n",
+		fmt.Fprintf(&b, "router: %d requests, %d retries, %d failovers; ejected %d, probed %d, reinstated %d; shed %d, unavailable %d, verified %d\n",
 			t.Fleet.Requests, t.Fleet.Retries, t.Fleet.Failovers,
 			t.Fleet.Ejections, t.Fleet.Probes, t.Fleet.Reinstated,
-			t.Fleet.Shed, t.Fleet.Unavailable, t.Fleet.Verified, t.Fleet.Rejected)
+			t.Fleet.Shed, t.Fleet.Unavailable, t.Fleet.Verified)
 	}
 	for _, ot := range t.Ops {
 		fmt.Fprintf(&b, "  %-11s n=%-5d mean %8.0f us  p50 %8.0f  p90 %8.0f  p99 %8.0f\n",

@@ -103,8 +103,8 @@ func TestInsertRoundTripReusesState(t *testing.T) {
 
 // TestInsertDecodeAllocs extends the zero-allocation pin to the firehose
 // path: a warmed InsertReq decoder parses a steady-state batch without
-// allocating, which is what lets serveload pump record batches at wire
-// speed.
+// allocating, so a binary /insert under sustained ingest (perfbench's
+// fleet-ingest workload) decodes at wire speed.
 func TestInsertDecodeAllocs(t *testing.T) {
 	frame := goldenInsertReq().Append(nil)
 	respFrame := goldenInsertResp().Append(nil)

@@ -98,8 +98,10 @@ func ReconstructClamped(published *Table, conds map[string]string, p float64) (m
 //
 // An Adversary is immutable after construction and safe for concurrent use.
 type Adversary struct {
-	t   *Table
-	eng *reconstruct.Engine
+	t    *Table
+	p    float64
+	marg *query.Marginals
+	eng  *reconstruct.Engine
 }
 
 // NewAdversary indexes a published table for batched reconstruction with
@@ -124,7 +126,7 @@ func NewAdversaryDepth(published *Table, p float64, maxDim, workers int) (*Adver
 	if err != nil {
 		return nil, err
 	}
-	return &Adversary{t: published, eng: eng}, nil
+	return &Adversary{t: published, p: p, marg: marg, eng: eng}, nil
 }
 
 // Reconstruction is one subset's result within a batched reconstruction:
@@ -148,16 +150,7 @@ func (a *Adversary) ReconstructBatch(subsets []map[string]string, clamp bool) []
 	sets := make([][]reconstruct.Condition, len(subsets))
 	resolveErr := make([]error, len(subsets))
 	for i, conds := range subsets {
-		attrs, vals, err := a.t.resolveConds(conds)
-		if err != nil {
-			resolveErr[i] = err
-			continue
-		}
-		set := make([]reconstruct.Condition, len(attrs))
-		for j := range attrs {
-			set[j] = reconstruct.Condition{Attr: attrs[j], Value: vals[j]}
-		}
-		sets[i] = set
+		sets[i], resolveErr[i] = a.condSet(conds)
 	}
 	raw := a.eng.ReconstructBatch(sets, reconstruct.BatchOptions{Clamp: clamp})
 	sa := a.t.t.Schema.SAAttr()
@@ -197,34 +190,50 @@ type CountEstimate struct {
 
 // EstimateCountBatch evaluates the Section 6.1 count estimator for every
 // query, in input order — the batched, index-backed form of EstimateCount.
+// Each estimate comes from the query kernel that serves /query (one count
+// and one size read); Size is the subset's indexed size.
 func (a *Adversary) EstimateCountBatch(qs []CountQuery) []CountEstimate {
-	eqs := make([]reconstruct.CountQuery, len(qs))
+	batch := make([]query.Query, len(qs))
 	resolveErr := make([]error, len(qs))
 	for i, q := range qs {
-		attrs, vals, err := a.t.resolveConds(q.Conds)
+		set, err := a.condSet(q.Conds)
 		if err == nil {
 			var code uint16
-			code, err = a.t.t.Schema.SAAttr().Code(q.SensitiveValue)
-			if err == nil {
-				set := make([]reconstruct.Condition, len(attrs))
-				for j := range attrs {
-					set[j] = reconstruct.Condition{Attr: attrs[j], Value: vals[j]}
-				}
-				eqs[i] = reconstruct.CountQuery{Conds: set, SA: code}
+			if code, err = a.t.t.Schema.SAAttr().Code(q.SensitiveValue); err == nil {
+				batch[i] = query.Query{Conds: set, SA: code}
 			}
 		}
 		resolveErr[i] = err
 	}
-	raw := a.eng.EstimateCountBatch(eqs, reconstruct.BatchOptions{})
+	answers := a.marg.AnswerBatch(batch, a.p, 0)
 	out := make([]CountEstimate, len(qs))
-	for i, r := range raw {
-		if resolveErr[i] != nil {
-			out[i] = CountEstimate{Err: resolveErr[i]}
+	for i, ans := range answers {
+		err := resolveErr[i]
+		if err == nil {
+			err = ans.Err
+		}
+		if err != nil {
+			out[i] = CountEstimate{Err: err}
 			continue
 		}
-		out[i] = CountEstimate{Estimate: r.Estimate, Size: r.Size, Err: r.Err}
+		size, err := a.marg.CountNA(batch[i].Conds)
+		out[i] = CountEstimate{Estimate: ans.Estimate, Size: size, Err: err}
 	}
 	return out
+}
+
+// condSet resolves an attribute-name → value-label map into index
+// conditions.
+func (a *Adversary) condSet(conds map[string]string) ([]query.Cond, error) {
+	attrs, vals, err := a.t.resolveConds(conds)
+	if err != nil {
+		return nil, err
+	}
+	set := make([]query.Cond, len(attrs))
+	for j := range attrs {
+		set[j] = query.Cond{Attr: attrs[j], Value: vals[j]}
+	}
+	return set, nil
 }
 
 // CountPairs evaluates the queries and returns (x, y) count pairs for the
