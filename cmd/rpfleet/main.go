@@ -34,9 +34,11 @@
 // instead of per-replica internals. Inserts fan out to every live holder
 // and append to the publication's mutation log; when the log reaches
 // -checkpoint-log entries it is folded into a stored snapshot, so restart
-// replay cost stays bounded under sustained ingest. Replica-side
-// budget_exhausted 429s pass through with their Retry-After header and are
-// never retried — a rejected request charges no exposure on any replica.
+// replay cost stays bounded under sustained ingest. Replicas run with
+// budget enforcement off; the router's own budget precheck issues the
+// typed budget_exhausted 429 with its Retry-After header before any
+// replica is touched, so a rejected request is never retried and charges
+// no exposure.
 //
 // A minimal cross-process session:
 //
@@ -74,7 +76,7 @@ func main() {
 		attempts    = flag.Int("attempts", 5, "attempt budget per logical request")
 		ejectAfter  = flag.Int("eject-after", 3, "consecutive transport failures before a replica is ejected")
 		maxInflight = flag.Int64("max-inflight", 64, "concurrent requests per replica before load shedding")
-		verifyEvery = flag.Int("verify-every", 16, "sample 1-in-N answers for cross-replica digest verification (negative disables)")
+		verifyEvery = flag.Int("verify-every", 16, "sample 1-in-N answers for comparison of their answer bytes against a second replica (negative disables)")
 		pipeWorkers = flag.Int("pipeline-workers", 0, "per-replica cold-path preprocessing workers (0 = GOMAXPROCS)")
 		preload     = flag.String("preload", "", "comma-separated dataset[:size] list to publish before serving")
 

@@ -1,6 +1,9 @@
-// Command rpsim runs a deterministic workload simulation against an
-// in-process publication server and validates the serving invariants
-// continuously (see internal/sim for the invariant list).
+// Command rpsim runs a deterministic workload simulation and validates the
+// serving invariants continuously (see internal/sim for the invariant
+// list). The scenario picks the target its clients drive over loopback
+// HTTP: one in-process publication server, or — for the fleet scenarios —
+// a replicated fleet behind its router, whose replicas run in this process
+// (fleet) or as spawned child processes of this binary (fleet-ingest).
 //
 // Usage:
 //

@@ -216,23 +216,6 @@ func TestExactTrackingIsExact(t *testing.T) {
 	}
 }
 
-// TestCancelRefunds checks that canceling an exact-tracked charge restores
-// window budget and total, while sketch-resident refunds are dropped.
-func TestCancelRefunds(t *testing.T) {
-	m, _ := newTestManager(Config{Quota: 10})
-	m.Charge("c", "p", 10, ClassQuery)
-	if res := m.Charge("c", "p", 1, ClassQuery); res.OK {
-		t.Fatal("quota full")
-	}
-	m.Cancel("c", "p", 10)
-	if res := m.Charge("c", "p", 10, ClassQuery); !res.OK {
-		t.Fatalf("after refund: %+v", res)
-	}
-	if total, _ := m.Estimate("c"); total != 10 {
-		t.Fatalf("total after refund+recharge = %d, want 10", total)
-	}
-}
-
 // TestChargeServedOvershoots checks the fleet settle path: a served charge
 // lands even past quota, and the next precheck pays for it.
 func TestChargeServedOvershoots(t *testing.T) {

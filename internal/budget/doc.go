@@ -16,11 +16,11 @@
 //
 // Two invariants shape the design. Estimates never undercount — the sketch
 // only overestimates, evicted exact entries are folded back into it, and
-// refunds of sketch-resident charges are dropped rather than risk
-// undershoot — so a quota can bound a reconstruction adversary even for
-// untracked clients. And every decision is deterministic in the charge
-// sequence: promotion happens exactly when an estimate crosses the
-// threshold, eviction picks the minimum (usage, client) pair, and no code
-// path consults map iteration order, which keeps the simulator's
-// byte-identical-summary property intact.
+// nothing is ever subtracted: an accepted charge stands — so a quota can
+// bound a reconstruction adversary even for untracked clients. And every
+// decision is deterministic in the charge sequence: promotion happens
+// exactly when an estimate crosses the threshold, eviction picks the
+// minimum (usage, client) pair, and no code path consults map iteration
+// order, which keeps the simulator's byte-identical-summary property
+// intact.
 package budget

@@ -160,28 +160,6 @@ func (en *entry) add(e int64, nslots int64, n int64) {
 	en.slots[pos] += n
 }
 
-// refund removes up to n from the window, newest slot first, and from the
-// total. Used to cancel a charge whose request was never served.
-func (en *entry) refund(e int64, nslots int64, n int64) {
-	en.total -= n
-	if en.total < 0 {
-		en.total = 0
-	}
-	for age := int64(0); age < nslots && n > 0; age++ {
-		ep := e - age
-		pos := int(((ep % nslots) + nslots) % nslots)
-		if en.epochs[pos] != ep {
-			continue
-		}
-		take := en.slots[pos]
-		if take > n {
-			take = n
-		}
-		en.slots[pos] -= take
-		n -= take
-	}
-}
-
 // slotAmounts appends window usage ordered oldest first, zero-filled for
 // slots with no charges, mirroring winSketch.slotEstimates.
 func (en *entry) slotAmounts(e int64, nslots int64, dst []int64) []int64 {
@@ -628,31 +606,6 @@ func (m *Manager) countReject(r Reason) {
 		m.rejPub++
 	case ReasonDegraded:
 		m.rejSoft++
-	}
-}
-
-// Cancel refunds a charge whose request failed after charging. Refunds
-// apply only to exactly tracked state; sketch-resident refunds are dropped
-// because count-min cannot subtract safely, keeping estimates upper
-// bounds.
-func (m *Manager) Cancel(client, pub string, n int64) {
-	if n <= 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e := m.advance()
-	if en, ok := m.exact[client]; ok {
-		en.refund(e, int64(m.nslots), n)
-	}
-	if pub != "" {
-		if pe, ok := m.pubs[m.pubKey(pub)]; ok {
-			pe.refund(e, int64(m.nslots), n)
-		}
-	}
-	m.totalCharged -= n
-	if m.totalCharged < 0 {
-		m.totalCharged = 0
 	}
 }
 

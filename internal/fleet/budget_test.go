@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -78,7 +79,17 @@ func TestFleetBudgetRejection(t *testing.T) {
 	// Replicas must not enforce on their own: each holder saw at most the
 	// fill batch, far under the fleet quota, and their managers are off.
 	for _, hi := range f.Holders(id) {
-		if f.replicas[hi].server().Budget().Enforced() {
+		resp, err := f.control(f.replicas[hi], http.MethodGet, "/statsz", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st struct {
+			Budget serve.BudgetStatsz `json:"budget"`
+		}
+		if err := json.Unmarshal(resp.body, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Budget.Enforced {
 			t.Fatalf("replica %d enforces its own budget", hi)
 		}
 	}

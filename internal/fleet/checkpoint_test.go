@@ -254,7 +254,7 @@ func TestCrossProcessKillMidBatch(t *testing.T) {
 		case 15:
 			// A real process kill: the child is dead, its socket refuses.
 			f.KillReplica(victim)
-			if f.Alive(victim) {
+			if f.replicas[victim].alive.Load() {
 				t.Fatal("victim still marked alive after kill")
 			}
 		case 30:

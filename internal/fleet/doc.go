@@ -1,5 +1,9 @@
-// Package fleet runs N in-process serve.Server replicas behind one router
-// and makes the pair behave like a single fault-tolerant publication server.
+// Package fleet runs N serve.Server replicas behind one router and makes
+// the pair behave like a single fault-tolerant publication server. A
+// replica lives in this process (New), in a spawned child process of this
+// binary reached over loopback sockets (NewProcs), or in an externally
+// managed server the router attaches to (NewPeers); the router reaches
+// every kind through the same HTTP surface.
 //
 // Placement is rendezvous hashing: each publication id scores every replica
 // and lives on the top ReplicationFactor of them, so replicas hold disjoint

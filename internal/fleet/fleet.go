@@ -198,16 +198,6 @@ type Fleet struct {
 		m  map[string]*pub
 	}
 
-	// shadow is a lazily built router-local server used only when no
-	// in-process holder exists (cross-process modes): harnesses ask the
-	// fleet for a *serve.Publication to generate workloads from, and a
-	// deterministic generation-0 build on the shadow is bit-identical in
-	// schema and parameters to what the holders serve.
-	shadow struct {
-		mu  sync.Mutex
-		srv *serve.Server
-	}
-
 	// budget is the authoritative exposure ledger — bounded, quota-enforcing,
 	// charged exactly once per logical request. Replicas run with
 	// enforcement disabled so the router's decisions are the only ones; a
@@ -671,55 +661,6 @@ func (f *Fleet) replayOn(tr transport, p *pub) error {
 	}
 	return nil
 }
-
-// Publication returns a built publication value — schema and parameter
-// access for harnesses that generate workloads against the fleet. With an
-// in-process holder alive its publication is returned directly; in
-// cross-process modes an equivalent is built once on a router-local shadow
-// server (deterministic builds make schema and parameters identical; the
-// shadow stays at generation 0 and is never mutated).
-func (f *Fleet) Publication(id string) (*serve.Publication, error) {
-	p := f.lookup(id)
-	if p == nil {
-		return nil, fmt.Errorf("fleet: no publication %q", id)
-	}
-	live := false
-	for _, h := range p.holders {
-		rep := f.replicas[h]
-		if !rep.alive.Load() {
-			continue
-		}
-		live = true
-		srv := rep.server()
-		if srv == nil {
-			continue
-		}
-		if e := srv.Lookup(id); e != nil {
-			return e.Publication()
-		}
-	}
-	if !live {
-		return nil, fmt.Errorf("fleet: no live holder of %q", id)
-	}
-	return f.shadowPublication(p)
-}
-
-// shadowPublication builds p on the router-local shadow server.
-func (f *Fleet) shadowPublication(p *pub) (*serve.Publication, error) {
-	f.shadow.mu.Lock()
-	defer f.shadow.mu.Unlock()
-	if f.shadow.srv == nil {
-		f.shadow.srv = serve.New(f.replicaServeConfig())
-	}
-	e, _, err := f.shadow.srv.Publish(p.req, true)
-	if err != nil {
-		return nil, err
-	}
-	return e.Publication()
-}
-
-// Alive reports whether replica i is serving.
-func (f *Fleet) Alive(i int) bool { return f.replicas[i].alive.Load() }
 
 // InjectLatency makes the next n requests to replica i stall for d before
 // serving — the simulator's latency-spike fault.

@@ -30,10 +30,10 @@ const childReadyPrefix = "RP_FLEET_CHILD_READY "
 // ChildServeMain is the child-process hook for cross-process fleets: when
 // the RP_FLEET_CHILD environment variable is set, the process runs a bare
 // replica server on a loopback port, prints the address for the parent, and
-// never returns. Binaries that spawn fleets (cmd/rpfleet, cmd/rpsim,
-// cmd/rpbench) and test mains call it first thing, so the fleet can
-// re-execute its own binary as replica processes without needing a separate
-// server binary on disk. When the variable is unset it does nothing.
+// never returns. Binaries that spawn fleets (cmd/rpfleet, cmd/rpsim) and
+// test mains call it first thing, so the fleet can re-execute its own
+// binary as replica processes without needing a separate server binary on
+// disk. When the variable is unset it does nothing.
 func ChildServeMain() {
 	raw := os.Getenv(childEnv)
 	if raw == "" {

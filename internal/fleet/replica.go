@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/reconpriv/reconpriv/internal/serve"
 )
 
 // Health states of one replica, as tracked by the router.
@@ -102,18 +100,6 @@ func (rep *replica) transport() transport {
 	rep.mu.RLock()
 	defer rep.mu.RUnlock()
 	return rep.tr
-}
-
-// server returns the in-process serve.Server, or nil for a cross-process
-// replica — callers needing direct access (tests, harness schema lookups)
-// must handle nil and fall back to the HTTP surface.
-func (rep *replica) server() *serve.Server {
-	rep.mu.RLock()
-	defer rep.mu.RUnlock()
-	if mt, ok := rep.tr.(*memTransport); ok {
-		return mt.srv
-	}
-	return nil
 }
 
 // do executes one routed request against the replica, honoring injected

@@ -80,18 +80,16 @@ func (m *memWriter) response() *response {
 	return &response{status: m.status, header: m.committed, body: m.buf.Bytes()}
 }
 
-// memTransport serves requests into an in-process serve.Server — the
-// simulation-scale replica. It also exposes the server for harnesses that
-// need direct schema access; cross-process transports cannot, which is why
-// every router code path speaks HTTP through the transport instead.
+// memTransport serves requests into an in-process serve.Server's handler —
+// the simulation-scale replica. Like the HTTP transport it offers nothing
+// but that handler, so every router code path speaks HTTP through the
+// transport.
 type memTransport struct {
-	srv *serve.Server
-	h   http.Handler
+	h http.Handler
 }
 
 func newMemTransport(cfg serve.Config) *memTransport {
-	srv := serve.New(cfg)
-	return &memTransport{srv: srv, h: srv.Handler()}
+	return &memTransport{h: serve.New(cfg).Handler()}
 }
 
 // do runs the handler in a goroutine so the context deadline is honored

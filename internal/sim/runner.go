@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/reconpriv/reconpriv/internal/budget"
+	"github.com/reconpriv/reconpriv/internal/fleet"
 	"github.com/reconpriv/reconpriv/internal/par"
 	"github.com/reconpriv/reconpriv/internal/serve"
 	"github.com/reconpriv/reconpriv/internal/stats"
@@ -42,8 +43,9 @@ type Options struct {
 	// per-attempt timeout plus backoff), so a timed-out client is always a
 	// real failure, never an impatient one.
 	ClientTimeout time.Duration
-	// Config is the traffic server's configuration. Clock is overridden
-	// with a fixed epoch so time-derived /statsz fields are deterministic.
+	// Config is the traffic server's configuration, or each replica's on a
+	// fleet. Clock is overridden with a fixed epoch so time-derived /statsz
+	// fields are deterministic.
 	Config serve.Config
 	// forceJSON disables the deterministic JSON/binary query alternation
 	// (test hook: the mixed-encoding digest must equal the all-JSON one).
@@ -152,10 +154,11 @@ type statszWire struct {
 // clientResult is one client's deterministic tallies plus its latency
 // samples.
 type clientResult struct {
-	ops         OpTally
-	queries     int64
-	subsets     int64
-	inserted    int64
+	ops     OpTally
+	queries int64
+	subsets int64
+	// inserted counts the records this client inserted, per publication.
+	inserted    []int64
 	charged     int64
 	latObserved int64 // successfully answered /query + /reconstruct requests
 	digest      uint64
@@ -172,23 +175,36 @@ type clientResult struct {
 	rejRecon    int64
 }
 
-// runner holds the state shared by every client of one run.
+// runner drives one scenario against its target — one serve.Server, or a
+// fleet.Fleet behind its router — over the same loopback HTTP surface.
+// Exactly one of srv and f is set; only the checks that need that target's
+// internals read it.
 type runner struct {
 	opts    Options
 	sc      Scenario
 	clients int
 	steps   int
 
-	srv   *serve.Server
-	entry *serve.Entry
-	pub0  *serve.Publication
-	m     int // SA domain size
-	base  string
-	hc    *http.Client
+	srv  *serve.Server
+	f    *fleet.Fleet
+	base string
+	hc   *http.Client
 
-	check    *checker
-	inserted atomic.Int64
-	initial  int // raw record count of generation 0 (Meta.Records)
+	// pubs are the placed publications' generation-0 builds on ref, an
+	// in-process reference server at PipelineWorkers 1 given the same
+	// publish requests as the target: the schema handles workloads are
+	// drawn from, and the raw groups the Bernstein envelope is checked
+	// against. Deterministic builds make them identical to what the target
+	// serves at generation 0.
+	ref  *serve.Server
+	pubs []*serve.Publication
+	m    int // SA domain size (shared schema)
+
+	check *checker
+
+	// One server: the served entry, whose raw stream the end-of-run insert
+	// conservation reads.
+	entry *serve.Entry
 
 	// Budget-scenario state: the shared zipf sampler (stateless after
 	// construction) and the quota mirror. softQuota is the shed threshold
@@ -197,14 +213,24 @@ type runner struct {
 	quota     int64
 	softQuota int64
 
-	// pairA/pairB are the bit-identity witnesses: two extra in-process
-	// servers serving the same publication at PipelineWorkers 1 and full
-	// width. pairMu serializes their refreshes so generations advance in
-	// lockstep and every comparison is like for like.
+	// One server: ref and wide are the bit-identity witnesses, serving the
+	// publication at PipelineWorkers 1 and at the traffic server's width.
+	// pairMu serializes their refreshes so generations advance in lockstep
+	// and every comparison is like for like.
 	pairMu sync.Mutex
-	pairA  *serve.Server
-	pairB  *serve.Server
-	pairID string
+	wide   *serve.Server
+
+	// Fleet: the resolved plan and its chaos schedule. ops is the global
+	// operation counter the schedule keys off; killAt/restartAt are the
+	// thresholds (0 = disabled), victim the replica they target. Exactly
+	// one client observes each counter value.
+	plan      FleetPlan
+	ops       atomic.Int64
+	killAt    int64
+	restartAt int64
+	victim    int
+	kills     atomic.Int64
+	restarts  atomic.Int64
 }
 
 // Run executes one scenario and returns its result. Setup failures (invalid
@@ -214,9 +240,6 @@ func Run(opts Options) (*Result, error) {
 	sc := opts.Scenario
 	if err := sc.validate(); err != nil {
 		return nil, err
-	}
-	if sc.Fleet != nil {
-		return runFleet(opts, sc)
 	}
 	r := &runner{
 		opts:    opts,
@@ -264,12 +287,37 @@ func Run(opts Options) (*Result, error) {
 		// calibrated budget.DefaultQuota, which those clients would trip.
 		cfg.BudgetTrusted = append([]string(nil), trustedClientIDs(r.clients)...)
 	}
-	r.srv = serve.New(cfg)
+
+	var target http.Handler
+	if sc.Fleet != nil {
+		r.plan = sc.Fleet.withDefaults()
+		fcfg := fleet.Config{
+			Replicas:          r.plan.Replicas,
+			ReplicationFactor: r.plan.ReplicationFactor,
+			Timeout:           r.plan.Timeout,
+			CheckpointLog:     r.plan.CheckpointLog,
+			Serve:             cfg,
+		}
+		if r.plan.CrossProcess {
+			f, err := fleet.NewProcs(fcfg)
+			if err != nil {
+				return nil, fmt.Errorf("sim: spawning cross-process fleet: %w", err)
+			}
+			r.f = f
+		} else {
+			r.f = fleet.New(fcfg)
+		}
+		defer r.f.Close()
+		target = r.f.Handler()
+	} else {
+		r.srv = serve.New(cfg)
+		target = r.srv.Handler()
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	hs := &http.Server{Handler: r.srv.Handler()}
+	hs := &http.Server{Handler: target}
 	go hs.Serve(ln)
 	defer hs.Close()
 	r.base = "http://" + ln.Addr().String()
@@ -298,50 +346,36 @@ func Run(opts Options) (*Result, error) {
 	return r.finish(results, wall)
 }
 
-// setup publishes the scenario's publication over HTTP, wires the
-// in-process handles, and runs the start-of-life invariant checks.
-func (r *runner) setup(cfg serve.Config) error {
+// publishRequest is placed publication i's request: the scenario's, with a
+// distinct seed per publication so placement spreads them across replicas.
+func (r *runner) publishRequest(i int) serve.PublishRequest {
 	req := r.sc.Publish
+	req.Seed += int64(i)
 	req.Wait = true
-	var pubJSON entryWire
-	if code, err := r.postJSON("/publish", req, &pubJSON); err != nil || code != http.StatusOK {
-		return fmt.Errorf("sim: publish returned %d: %v (%s)", code, err, pubJSON.Error)
-	}
-	if pubJSON.Status != "ready" {
-		return fmt.Errorf("sim: publication is %s: %s", pubJSON.Status, pubJSON.Error)
-	}
-	// The HTTP publish above built the publication; this in-process call is
-	// a cache hit that hands us the entry for the snapshot accessors.
-	e, _, err := r.srv.Publish(req, true)
-	if err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	r.entry = e
-	r.pub0, err = e.Publication()
-	if err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	r.m = r.pub0.Marg.SADomain()
-	r.initial = r.pub0.Meta.Records
+	return req
+}
 
-	// Bit-identity witnesses: the same publication built at PipelineWorkers
-	// 1 and at the traffic server's width must fingerprint identically —
-	// now, and after every mid-simulation refresh.
-	r.pairA = serve.New(serve.Config{PipelineWorkers: 1, Clock: cfg.Clock})
-	r.pairB = serve.New(serve.Config{PipelineWorkers: cfg.PipelineWorkers, Clock: cfg.Clock})
-	pubA, err := publishOn(r.pairA, req)
-	if err != nil {
-		return fmt.Errorf("sim: pair publish: %w", err)
+// setup publishes the scenario's publications through the target, builds
+// them on the reference server, and runs the start-of-life checks.
+func (r *runner) setup(cfg serve.Config) error {
+	n := 1
+	if r.f != nil {
+		n = r.plan.Publications
 	}
-	pubB, err := publishOn(r.pairB, req)
-	if err != nil {
-		return fmt.Errorf("sim: pair publish: %w", err)
+	r.ref = serve.New(serve.Config{PipelineWorkers: 1, Clock: cfg.Clock})
+	for i := 0; i < n; i++ {
+		req := r.publishRequest(i)
+		var view entryWire
+		if code, err := r.postJSON("", nil, "/publish", "", req, &view); err != nil || code != http.StatusOK {
+			return fmt.Errorf("sim: publish %d returned %d: %v (%s)", i, code, err, view.Error)
+		}
+		pub, err := publishOn(r.ref, req)
+		if err != nil {
+			return fmt.Errorf("sim: reference publish %d: %w", i, err)
+		}
+		r.pubs = append(r.pubs, pub)
 	}
-	r.pairID = r.pub0.ID
-	dA, dB, dServed := pubA.Digest(), pubB.Digest(), r.pub0.Digest()
-	r.check.check(dA == dB && dA == dServed,
-		"generation-0 publications diverge across PipelineWorkers: 1-worker %s, full-width %s, served %s",
-		dA, dB, dServed)
+	r.m = r.pubs[0].Marg.SADomain()
 
 	var health struct {
 		Status string `json:"status"`
@@ -349,6 +383,42 @@ func (r *runner) setup(cfg serve.Config) error {
 	code, err := r.getJSON("/healthz", &health)
 	r.check.check(err == nil && code == http.StatusOK && health.Status == "ok",
 		"healthz returned %d %q (%v)", code, health.Status, err)
+
+	if r.f != nil {
+		// Chaos schedule: thresholds on the shared op counter, victim the
+		// top-ranked holder of publication 0 so the kill always hits a
+		// replica that matters.
+		total := int64(r.clients * r.steps)
+		if r.plan.KillAtFrac > 0 {
+			r.killAt = max(1, int64(r.plan.KillAtFrac*float64(total)))
+		}
+		if r.plan.RestartAtFrac > 0 {
+			r.restartAt = max(r.killAt+1, int64(r.plan.RestartAtFrac*float64(total)))
+		}
+		r.victim = r.f.Holders(r.pubs[0].ID)[0]
+		return nil
+	}
+
+	r.entry = r.srv.Lookup(r.pubs[0].ID)
+	if r.entry == nil {
+		return fmt.Errorf("sim: server lost publication %s", r.pubs[0].ID)
+	}
+	served, err := r.entry.Publication()
+	if err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	// Bit-identity witnesses: the same publication built at PipelineWorkers
+	// 1 and at the traffic server's width must fingerprint identically —
+	// now, and after every mid-simulation refresh.
+	r.wide = serve.New(serve.Config{PipelineWorkers: cfg.PipelineWorkers, Clock: cfg.Clock})
+	pubB, err := publishOn(r.wide, r.publishRequest(0))
+	if err != nil {
+		return fmt.Errorf("sim: pair publish: %w", err)
+	}
+	dA, dB, dServed := r.pubs[0].Digest(), pubB.Digest(), served.Digest()
+	r.check.check(dA == dB && dA == dServed,
+		"generation-0 publications diverge across PipelineWorkers: 1-worker %s, full-width %s, served %s",
+		dA, dB, dServed)
 	return nil
 }
 
@@ -376,6 +446,7 @@ func (r *runner) runClient(idx int, res *clientResult) {
 	rng := stats.NewRand(clientSeed(r.opts.Seed, idx))
 	id := fmt.Sprintf("c%03d", idx)
 	res.lats = make(map[string][]time.Duration)
+	res.inserted = make([]int64, len(r.pubs))
 	if r.sc.Budget != nil {
 		res.idents = make(map[string]int64)
 	}
@@ -387,22 +458,26 @@ func (r *runner) runClient(idx int, res *clientResult) {
 		if r.opts.Think > 0 {
 			time.Sleep(time.Duration(frac * float64(r.opts.Think)))
 		}
+		r.chaos(r.ops.Add(1))
+		// One idempotency key per logical operation: a router-side retry of
+		// this operation must charge exposure once, never twice.
+		idem := fmt.Sprintf("%s-s%04d", id, step)
 		switch pickOp(rng, r.sc.Mix) {
 		case opQuery:
 			res.ops.Query++
-			r.doQuery(rng, r.opIdentity(rng, idx, id), res, digest)
+			r.doQuery(rng, r.opIdentity(rng, idx, id), idem, res, digest)
 		case opInsert:
 			res.ops.Insert++
-			r.doInsert(rng, res)
+			r.doInsert(rng, idem, res)
 		case opRefresh:
 			res.ops.Refresh++
-			r.doRefresh(res)
+			r.doRefresh(rng, idem, res)
 		case opReconstruct:
 			res.ops.Reconstruct++
-			r.doReconstruct(rng, r.opIdentity(rng, idx, id), res)
+			r.doReconstruct(rng, r.opIdentity(rng, idx, id), idem, res)
 		case opAudit:
 			res.ops.Audit++
-			r.doAudit(rng, res)
+			r.doAudit(rng, idem, res)
 		}
 	}
 	res.digest = digest.Sum64()
@@ -441,11 +516,22 @@ func pickOp(rng *stats.Rand, m Mix) int {
 	return opQuery
 }
 
-// randomConds draws 1..MaxDim distinct public attributes with uniform
-// in-domain original labels.
-func (r *runner) randomConds(rng *stats.Rand) []serve.CondJSON {
-	na := r.pub0.Orig.NAIndices()
-	maxDim := r.pub0.Req.MaxDim
+// pickPub draws the index of the publication one operation targets. It
+// draws from the client's stream only when more than one publication is
+// placed, so a seed draws the same workload against one server as against
+// a fleet.
+func (r *runner) pickPub(rng *stats.Rand) int {
+	if len(r.pubs) == 1 {
+		return 0
+	}
+	return rng.Intn(len(r.pubs))
+}
+
+// randomConds draws 1..MaxDim distinct public attributes of pub with
+// uniform in-domain original labels.
+func randomConds(rng *stats.Rand, pub *serve.Publication) []serve.CondJSON {
+	na := pub.Orig.NAIndices()
+	maxDim := pub.Req.MaxDim
 	if maxDim > len(na) {
 		maxDim = len(na)
 	}
@@ -453,18 +539,19 @@ func (r *runner) randomConds(rng *stats.Rand) []serve.CondJSON {
 	perm := rng.Perm(len(na))[:dim]
 	conds := make([]serve.CondJSON, dim)
 	for j, pi := range perm {
-		attr := &r.pub0.Orig.Attrs[na[pi]]
+		attr := &pub.Orig.Attrs[na[pi]]
 		conds[j] = serve.CondJSON{Attr: attr.Name, Value: attr.Values[rng.Intn(attr.Domain())]}
 	}
 	return conds
 }
 
-// doQuery issues one query batch and validates shape and exposure.
-func (r *runner) doQuery(rng *stats.Rand, id string, res *clientResult, digest *stats.Digest) {
-	sa := r.pub0.Orig.SAAttr()
+// doQuery issues one query batch and validates shape, answers and exposure.
+func (r *runner) doQuery(rng *stats.Rand, id, idem string, res *clientResult, digest *stats.Digest) {
+	pub := r.pubs[r.pickPub(rng)]
+	sa := pub.Orig.SAAttr()
 	qs := make([]serve.QueryJSON, r.sc.QueriesPerBatch)
 	for i := range qs {
-		qs[i] = serve.QueryJSON{Conds: r.randomConds(rng), SA: sa.Values[rng.Intn(r.m)]}
+		qs[i] = serve.QueryJSON{Conds: randomConds(rng, pub), SA: sa.Values[rng.Intn(r.m)]}
 	}
 	n := int64(len(qs))
 	binary := res.ops.Query%2 == 0 && !r.opts.forceJSON
@@ -473,19 +560,19 @@ func (r *runner) doQuery(rng *stats.Rand, id string, res *clientResult, digest *
 	if binary {
 		// Even batches ride the binary framing; see binary.go for why this
 		// choice must not consume the client's randomness.
-		frame, ferr := encodeQueryFrame(r.pub0.Orig, r.pub0.ID, id, qs)
+		frame, ferr := encodeQueryFrame(pub.Orig, pub.ID, id, qs)
 		if !r.check.check(ferr == nil, "encoding binary query batch: %v", ferr) {
 			return
 		}
 		payload, ctype = frame, wire.ContentType
 	} else {
 		var merr error
-		payload, merr = json.Marshal(map[string]any{"id": r.pub0.ID, "client": id, "queries": qs, "wait": true})
+		payload, merr = json.Marshal(map[string]any{"id": pub.ID, "client": id, "queries": qs, "wait": true})
 		if !r.check.check(merr == nil, "encoding query batch: %v", merr) {
 			return
 		}
 	}
-	code, retryAfter, body, err := r.timedFull("query", res, "/query", ctype, payload)
+	code, retryAfter, body, err := r.post("query", res, "/query", ctype, idem, payload)
 	if r.sc.Budget != nil && code == http.StatusTooManyRequests {
 		res.rejQuery++
 		r.checkReject("query", id, n, false, retryAfter, body, res)
@@ -511,7 +598,8 @@ func (r *runner) doQuery(rng *stats.Rand, id string, res *clientResult, digest *
 		r.checkAccepted("query", id, n, false, resp.ClientQueries, resp.BudgetRemaining, resp.BudgetExact, res)
 	} else {
 		r.check.check(resp.ClientQueries == res.charged,
-			"client %s exposure: server says %d, local ledger %d", id, resp.ClientQueries, res.charged)
+			"client %s exposure: target says %d, local ledger %d — lost or double-charged",
+			id, resp.ClientQueries, res.charged)
 	}
 	for i := range resp.Answers {
 		a := &resp.Answers[i]
@@ -586,10 +674,13 @@ func (r *runner) checkReject(op, id string, n int64, reconstruct bool, retryAfte
 	}
 }
 
-// doInsert streams one record batch and validates conservation.
-func (r *runner) doInsert(rng *stats.Rand, res *clientResult) {
+// doInsert streams one record batch and validates it arrived intact: a
+// fleet fans it out to every live holder and logs it for restart replay.
+func (r *runner) doInsert(rng *stats.Rand, idem string, res *clientResult) {
+	pi := r.pickPub(rng)
+	pub := r.pubs[pi]
 	recs := make([]map[string]string, r.sc.RecordsPerInsert)
-	schema := r.pub0.Orig
+	schema := pub.Orig
 	for i := range recs {
 		rec := make(map[string]string, schema.NumAttrs())
 		for ai := range schema.Attrs {
@@ -599,37 +690,41 @@ func (r *runner) doInsert(rng *stats.Rand, res *clientResult) {
 		recs[i] = rec
 	}
 	var resp insertWire
-	code, err := r.timedPost("insert", res, "/insert",
-		map[string]any{"id": r.pub0.ID, "records": recs, "wait": true}, &resp)
+	code, err := r.postJSON("insert", res, "/insert", idem,
+		map[string]any{"id": pub.ID, "records": recs, "wait": true}, &resp)
 	if !r.check.check(err == nil && code == http.StatusOK, "insert returned %d (%v)", code, err) {
 		return
 	}
-	res.inserted += int64(len(recs))
-	r.inserted.Add(int64(len(recs)))
+	res.inserted[pi] += int64(len(recs))
 	r.check.check(resp.Inserted == len(recs), "inserted %d of %d records", resp.Inserted, len(recs))
 	r.check.check(resp.Trials+resp.Absorbed == resp.Inserted,
 		"insert of %d split into %d trials + %d absorbed", resp.Inserted, resp.Trials, resp.Absorbed)
-	r.check.check(int64(resp.TotalRecords) >= int64(r.initial)+res.inserted,
+	r.check.check(int64(resp.TotalRecords) >= int64(pub.Meta.Records)+res.inserted[pi],
 		"total_records %d below initial %d + own inserts %d: rows dropped",
-		resp.TotalRecords, r.initial, res.inserted)
+		resp.TotalRecords, pub.Meta.Records, res.inserted[pi])
 }
 
-// doRefresh refreshes the served publication, then advances the
-// bit-identity pair in lockstep and compares fingerprints.
-func (r *runner) doRefresh(res *clientResult) {
+// doRefresh advances a publication's generation. On one server it then
+// advances the bit-identity pair in lockstep and compares fingerprints.
+func (r *runner) doRefresh(rng *stats.Rand, idem string, res *clientResult) {
+	pub := r.pubs[r.pickPub(rng)]
 	var resp entryWire
-	code, err := r.timedPost("refresh", res, "/refresh",
-		map[string]any{"id": r.pub0.ID, "wait": true}, &resp)
+	code, err := r.postJSON("refresh", res, "/refresh", idem,
+		map[string]any{"id": pub.ID, "wait": true}, &resp)
 	if !r.check.check(err == nil && code == http.StatusOK, "refresh returned %d (%v): %s", code, err, resp.Error) {
 		return
 	}
-	r.check.check(resp.Status == "ready" && resp.Generation >= 1,
+	// The router's publication view carries no build status.
+	r.check.check((r.f != nil || resp.Status == "ready") && resp.Generation >= 1,
 		"refreshed publication is %s at generation %d", resp.Status, resp.Generation)
+	if r.f != nil {
+		return
+	}
 
 	r.pairMu.Lock()
 	defer r.pairMu.Unlock()
-	pubA, errA := refreshOn(r.pairA, r.pairID)
-	pubB, errB := refreshOn(r.pairB, r.pairID)
+	pubA, errA := refreshOn(r.ref, pub.ID)
+	pubB, errB := refreshOn(r.wide, pub.ID)
 	if !r.check.check(errA == nil && errB == nil, "pair refresh failed: %v / %v", errA, errB) {
 		return
 	}
@@ -654,17 +749,18 @@ func refreshOn(s *serve.Server, id string) (*serve.Publication, error) {
 // doReconstruct issues one reconstruction batch, validates shape and
 // exposure charging, and — on plain-perturbation scenarios — checks every
 // reconstruction against the Bernstein envelope of the raw groups.
-func (r *runner) doReconstruct(rng *stats.Rand, id string, res *clientResult) {
+func (r *runner) doReconstruct(rng *stats.Rand, id, idem string, res *clientResult) {
+	pub := r.pubs[r.pickPub(rng)]
 	subsets := make([][]serve.CondJSON, r.sc.SubsetsPerBatch)
 	for i := range subsets {
-		subsets[i] = r.randomConds(rng)
+		subsets[i] = randomConds(rng, pub)
 	}
 	n := int64(len(subsets)) * int64(r.m)
-	payload, merr := json.Marshal(map[string]any{"id": r.pub0.ID, "client": id, "subsets": subsets, "wait": true})
+	payload, merr := json.Marshal(map[string]any{"id": pub.ID, "client": id, "subsets": subsets, "wait": true})
 	if !r.check.check(merr == nil, "encoding reconstruct batch: %v", merr) {
 		return
 	}
-	code, retryAfter, body, err := r.timedFull("reconstruct", res, "/reconstruct", "application/json", payload)
+	code, retryAfter, body, err := r.post("reconstruct", res, "/reconstruct", "application/json", idem, payload)
 	if r.sc.Budget != nil && code == http.StatusTooManyRequests {
 		res.rejRecon++
 		r.checkReject("reconstruct", id, n, true, retryAfter, body, res)
@@ -686,7 +782,8 @@ func (r *runner) doReconstruct(rng *stats.Rand, id string, res *clientResult) {
 		r.checkAccepted("reconstruct", id, n, true, resp.ClientQueries, resp.BudgetRemaining, resp.BudgetExact, res)
 	} else {
 		r.check.check(resp.ClientQueries == res.charged,
-			"client %s exposure after reconstruct: server says %d, local ledger %d", id, resp.ClientQueries, res.charged)
+			"client %s exposure after reconstruct: target says %d, local ledger %d — lost or double-charged",
+			id, resp.ClientQueries, res.charged)
 	}
 	for i := range resp.Results {
 		rec := &resp.Results[i]
@@ -696,37 +793,47 @@ func (r *runner) doReconstruct(rng *stats.Rand, id string, res *clientResult) {
 		if !r.sc.CheckBernstein {
 			continue
 		}
-		conds, err := r.pub0.ResolveConds(subsets[i])
+		conds, err := pub.ResolveConds(subsets[i])
 		if !r.check.check(err == nil, "resolving subset %d: %v", i, err) {
 			continue
 		}
-		raw, size := rawSubsetCounts(r.pub0.Groups, conds)
+		raw, size := rawSubsetCounts(pub.Groups, conds)
 		r.check.check(rec.Size == size,
 			"subset %d: published size %d, raw size %d — plain perturbation must preserve counts", i, rec.Size, size)
 		if size == 0 {
 			continue
 		}
-		sa := r.pub0.Orig.SAAttr()
+		sa := pub.Orig.SAAttr()
 		freqs := make([]float64, r.m)
 		for v := 0; v < r.m; v++ {
 			freqs[v] = rec.Freqs[sa.Label(uint16(v))]
 		}
-		r.check.checkBernstein(fmt.Sprintf("subset %d", i), raw, size, freqs, r.pub0.Req.P)
+		r.check.checkBernstein(fmt.Sprintf("subset %d", i), raw, size, freqs, pub.Req.P)
 	}
 }
 
 // doAudit runs one audit and validates the Chernoff verdicts.
-func (r *runner) doAudit(rng *stats.Rand, res *clientResult) {
+func (r *runner) doAudit(rng *stats.Rand, idem string, res *clientResult) {
+	pub := r.pubs[r.pickPub(rng)]
 	seed := auditSeeds[rng.Intn(len(auditSeeds))]
 	var resp auditWire
-	code, err := r.timedPost("audit", res, "/audit",
-		map[string]any{"id": r.pub0.ID, "trials": r.sc.AuditTrials, "seed": seed, "top": 5, "wait": true}, &resp)
+	code, err := r.postJSON("audit", res, "/audit", idem,
+		map[string]any{"id": pub.ID, "trials": r.sc.AuditTrials, "seed": seed, "top": 5, "wait": true}, &resp)
 	if !r.check.check(err == nil && code == http.StatusOK, "audit returned %d (%v)", code, err) {
 		return
 	}
 	r.check.check(resp.GroupsAudited > 0, "audit swept no groups")
 	r.check.check(resp.BoundViolations == 0,
 		"audit found %d groups beyond their Chernoff bounds", resp.BoundViolations)
+}
+
+// exposure reads one client's charged total from the target's
+// authoritative ledger: the server's, or the router's.
+func (r *runner) exposure(client string) int64 {
+	if r.f != nil {
+		return r.f.ClientExposure(client)
+	}
+	return r.srv.ClientExposure(client)
 }
 
 // finish runs the end-of-run conservation checks and assembles the result.
@@ -750,7 +857,9 @@ func (r *runner) finish(results []clientResult, wall time.Duration) (*Result, er
 		sum.Ops.Audit += res.ops.Audit
 		sum.Queries += res.queries
 		sum.Subsets += res.subsets
-		sum.RecordsInserted += res.inserted
+		for _, n := range res.inserted {
+			sum.RecordsInserted += n
+		}
 		sum.ChargedQueries += res.charged
 		rejQuery += res.rejQuery
 		rejRecon += res.rejRecon
@@ -761,14 +870,16 @@ func (r *runner) finish(results []clientResult, wall time.Duration) (*Result, er
 		}
 	}
 
-	// Per-client exposure ledgers against the server's accounting. Budget
-	// scenarios compare per zipf identity instead of per worker.
+	// Exactly-once exposure per client: the target's authoritative ledger
+	// must equal what each client observed being charged — on a fleet, no
+	// answered operation lost and none double-charged across retries and
+	// failovers. Budget scenarios compare per zipf identity instead.
 	if r.sc.Budget == nil {
 		for i := range results {
 			id := fmt.Sprintf("c%03d", i)
-			got := r.srv.ClientExposure(id)
+			got := r.exposure(id)
 			r.check.check(got == results[i].charged,
-				"client %s final exposure: server ledger %d, charges observed %d", id, got, results[i].charged)
+				"client %s final exposure: target ledger %d, charges observed %d", id, got, results[i].charged)
 		}
 	} else {
 		sum.Budget = r.finishBudget(results)
@@ -778,105 +889,170 @@ func (r *runner) finish(results []clientResult, wall time.Duration) (*Result, er
 	// conservation query below lands after wall was measured, so it counts
 	// toward the summary and the statsz cross-checks but not the throughput.
 	measuredQueries := sum.Queries
-	var finalBatches int64
+	var fleetTiming *FleetTiming
 
-	// Insert conservation: once every client is done, the raw stream — the
-	// ingested record count and the raw group histograms behind the audit —
-	// must total the initial batch plus every inserted record. An insert
-	// extends the served index before it is acknowledged, and refreshes
-	// serialize with inserts on the stream mutex, so this holds without any
-	// repair; it also covers any background compactions that landed
-	// mid-run: compaction rewrites the index representation, never the
-	// totals. The final query below repairs nothing; it is one more served
-	// read, and the summary counts it like any other. The published snapshot is
-	// deliberately not compared: a refresh rebuilds through SPS scaling,
-	// whose rounding may publish a few more or fewer records than were
-	// ingested; the group-size conservation claim is about the raw
-	// histograms never dropping rows.
-	if r.sc.Mix.Insert > 0 {
-		finalRng := stats.NewRand(clientSeed(r.opts.Seed, r.clients))
-		var resp queryWire
-		q := serve.QueryJSON{Conds: r.randomConds(finalRng), SA: r.pub0.Orig.SAAttr().Values[0]}
-		code, err := r.postJSON("/query",
-			map[string]any{"id": r.pub0.ID, "client": "sim-final", "queries": []serve.QueryJSON{q}, "wait": true}, &resp)
-		if r.check.check(err == nil && code == http.StatusOK, "final query returned %d (%v)", code, err) {
-			latObserved++
-			sum.Queries++
-			sum.ChargedQueries++
-			finalBatches++
-		}
-		pub, err := r.entry.Publication()
-		if r.check.check(err == nil, "final publication: %v", err) {
-			want := int64(r.initial) + r.inserted.Load()
-			r.check.check(int64(pub.Meta.Records) == want,
-				"raw records %d after %d inserts on %d initial: want %d — rows dropped or duplicated",
-				pub.Meta.Records, r.inserted.Load(), r.initial, want)
-			r.check.check(pub.Groups != nil && int64(pub.Groups.Total()) == want,
-				"raw group histograms total %d, want %d — group-size conservation broken",
-				pub.Groups.Total(), want)
-		}
-	}
+	if r.f != nil {
+		// The router's aggregate must equal the sum of per-client charges.
+		r.check.check(r.f.TotalExposure() == sum.ChargedQueries,
+			"fleet aggregate exposure %d, sum of per-client charges %d", r.f.TotalExposure(), sum.ChargedQueries)
 
-	// Latency-histogram conservation, via the accessor and over the wire.
-	r.check.check(int64(r.srv.LatencyObservations()) == latObserved,
-		"latency histogram holds %d observations, %d query/reconstruct requests answered",
-		r.srv.LatencyObservations(), latObserved)
-	var st statszWire
-	code, err := r.getJSON("/statsz", &st)
-	if r.check.check(err == nil && code == http.StatusOK, "statsz returned %d (%v)", code, err) {
-		r.check.check(int64(st.LatencyObservations) == latObserved,
-			"statsz latency_observations %d, want %d", st.LatencyObservations, latObserved)
-		r.check.check(int64(st.QueriesAnswered) == sum.Queries,
-			"statsz queries_answered %d, want %d", st.QueriesAnswered, sum.Queries)
-		// Budget-rejected batches are refused before any counter or latency
-		// observation, so the server-side tallies cover accepted ones only.
-		acceptedQ := sum.Ops.Query - rejQuery + finalBatches
-		r.check.check(int64(st.QueryBatches) == acceptedQ,
-			"statsz query_batches %d, want %d", st.QueryBatches, acceptedQ)
-		r.check.check(st.QueryErrors == 0, "statsz reports %d query errors", st.QueryErrors)
-		r.check.check(int64(st.Reconstructions) == sum.Subsets,
-			"statsz reconstructions %d, want %d", st.Reconstructions, sum.Subsets)
-		r.check.check(int64(st.ReconstructBatches) == sum.Ops.Reconstruct-rejRecon,
-			"statsz reconstruct_batches %d, want %d", st.ReconstructBatches, sum.Ops.Reconstruct-rejRecon)
-		r.check.check(int64(st.Inserts) == sum.RecordsInserted,
-			"statsz inserts %d, want %d", st.Inserts, sum.RecordsInserted)
-		r.check.check(int64(st.Refreshes) == sum.Ops.Refresh,
-			"statsz refreshes %d, want %d issued", st.Refreshes, sum.Ops.Refresh)
-		if r.sc.Mix.Insert > 0 && r.sc.Mix.Refresh == 0 {
-			// Every publication-pointer writer (append, compaction install,
-			// refresh) serializes on the stream mutex, so each insert
-			// appends exactly one delta generation: ingest_appends is a pure
-			// function of the operation tallies and joins the deterministic
-			// summary of scenarios without refreshes. Compactions stay
-			// advisory — a compaction that loses its install race to a
-			// concurrent append is discarded — so only a loose bound applies.
-			r.check.check(int64(st.IngestAppends) == sum.Ops.Insert,
-				"statsz ingest_appends %d, want one per insert batch (%d)", st.IngestAppends, sum.Ops.Insert)
-			sum.IngestAppends = int64(st.IngestAppends)
-			r.check.check(st.Compactions <= st.IngestAppends,
-				"statsz compactions %d exceeds ingest_appends %d", st.Compactions, st.IngestAppends)
+		// Replica agreement: every publication with a live holder must serve
+		// bit-identical state on all of them — including a restarted victim,
+		// which rebuilt from the request and replayed missed generations.
+		for _, pub := range r.pubs {
+			err := r.f.ReplicaAgreement(pub.ID)
+			r.check.check(err == nil, "replica agreement on %s: %v", pub.ID, err)
 		}
-		r.check.check(int64(st.Audits+st.AuditCacheHits) == sum.Ops.Audit,
-			"statsz audits %d + cache hits %d, want %d issued", st.Audits, st.AuditCacheHits, sum.Ops.Audit)
-		if b := sum.Budget; b != nil {
-			r.check.check(st.Budget.Enforced, "statsz budget not enforced under a budget plan")
-			r.check.check(st.TotalCharged == sum.ChargedQueries,
-				"statsz total_charged %d, want %d accepted charges", st.TotalCharged, sum.ChargedQueries)
-			r.check.check(st.Clients == b.Identities && st.Budget.TrackedClients == b.Identities,
-				"statsz tracks %d/%d clients, want %d distinct identities",
-				st.Clients, st.Budget.TrackedClients, b.Identities)
-			accepted := (sum.Ops.Query - rejQuery) + (sum.Ops.Reconstruct - rejRecon)
-			r.check.check(int64(st.Budget.Charges) == accepted,
-				"statsz budget charges %d, want %d accepted batches", st.Budget.Charges, accepted)
-			r.check.check(int64(st.Budget.RejectedClientQuota) == b.RejectedClientQuota,
-				"statsz rejected_client_quota %d, mirrors tallied %d", st.Budget.RejectedClientQuota, b.RejectedClientQuota)
-			r.check.check(int64(st.Budget.RejectedDegraded) == b.RejectedDegraded,
-				"statsz rejected_degraded %d, mirrors tallied %d", st.Budget.RejectedDegraded, b.RejectedDegraded)
-			r.check.check(st.Budget.RejectedPubQuota == 0,
-				"statsz rejected_publication_quota %d with the publication quota disabled", st.Budget.RejectedPubQuota)
-			occ := float64(b.MaxIdentityCharged) / float64(r.quota)
-			r.check.check(math.Abs(st.Budget.Occupancy-occ) < 1e-12,
-				"statsz budget occupancy %g, want %g", st.Budget.Occupancy, occ)
+
+		st := r.f.Stats()
+		r.check.check(st.VerifyMismatches == 0,
+			"%d sampled answers disagreed across replicas", st.VerifyMismatches)
+		r.check.check(st.TotalCharged == sum.ChargedQueries,
+			"router statsz charged %d, clients observed %d", st.TotalCharged, sum.ChargedQueries)
+		if r.killAt > 0 {
+			r.check.check(r.kills.Load() == 1, "kill fired %d times, want 1", r.kills.Load())
+		}
+		if r.restartAt > 0 {
+			r.check.check(r.restarts.Load() == 1, "restart fired %d times, want 1", r.restarts.Load())
+		}
+
+		// Checkpoint bound: with folding enabled, no publication's mutation
+		// log may end the run at or above the threshold — every crossing
+		// must have folded into a snapshot (the run restarts its only killed
+		// replica, so a live checkpoint source always exists).
+		if r.plan.CheckpointLog > 0 {
+			for _, pub := range r.pubs {
+				l := r.f.MutationLogLen(pub.ID)
+				r.check.check(l < r.plan.CheckpointLog,
+					"publication %s mutation log at %d, threshold %d: checkpointing never folded it", pub.ID, l, r.plan.CheckpointLog)
+			}
+		}
+
+		sum.Fleet = &FleetSummary{
+			Replicas:          r.plan.Replicas,
+			ReplicationFactor: r.plan.ReplicationFactor,
+			Transport:         r.f.Transport(),
+			Publications:      len(r.pubs),
+			Kills:             r.kills.Load(),
+			Restarts:          r.restarts.Load(),
+			VerifyMismatches:  st.VerifyMismatches,
+		}
+		fleetTiming = &FleetTiming{
+			Requests:    st.Requests,
+			Retries:     st.Retries,
+			Failovers:   st.Failovers,
+			Ejections:   st.Ejections,
+			Probes:      st.Probes,
+			Reinstated:  st.Reinstated,
+			Shed:        st.Shed,
+			Unavailable: st.Unavailable,
+			Verified:    st.Verified,
+			Checkpoints: st.Checkpoints,
+		}
+	} else {
+		var finalBatches int64
+
+		// Insert conservation: once every client is done, the raw stream —
+		// the ingested record count and the raw group histograms behind the
+		// audit — must total the initial batch plus every inserted record.
+		// An insert extends the served index before it is acknowledged, and
+		// refreshes serialize with inserts on the stream mutex, so this holds
+		// without any repair; it also covers any background compactions that
+		// landed mid-run: compaction rewrites the index representation, never
+		// the totals. The final query below repairs nothing; it is one more
+		// served read, and the summary counts it like any other. The
+		// published snapshot is deliberately not compared: a refresh rebuilds
+		// through SPS scaling, whose rounding may publish a few more or fewer
+		// records than were ingested; the group-size conservation claim is
+		// about the raw histograms never dropping rows.
+		if r.sc.Mix.Insert > 0 {
+			pub0 := r.pubs[0]
+			finalRng := stats.NewRand(clientSeed(r.opts.Seed, r.clients))
+			var resp queryWire
+			q := serve.QueryJSON{Conds: randomConds(finalRng, pub0), SA: pub0.Orig.SAAttr().Values[0]}
+			code, err := r.postJSON("", nil, "/query", "",
+				map[string]any{"id": pub0.ID, "client": "sim-final", "queries": []serve.QueryJSON{q}, "wait": true}, &resp)
+			if r.check.check(err == nil && code == http.StatusOK, "final query returned %d (%v)", code, err) {
+				latObserved++
+				sum.Queries++
+				sum.ChargedQueries++
+				finalBatches++
+			}
+			pub, err := r.entry.Publication()
+			if r.check.check(err == nil, "final publication: %v", err) {
+				want := int64(pub0.Meta.Records) + sum.RecordsInserted
+				r.check.check(int64(pub.Meta.Records) == want,
+					"raw records %d after %d inserts on %d initial: want %d — rows dropped or duplicated",
+					pub.Meta.Records, sum.RecordsInserted, pub0.Meta.Records, want)
+				r.check.check(pub.Groups != nil && int64(pub.Groups.Total()) == want,
+					"raw group histograms total %d, want %d — group-size conservation broken",
+					pub.Groups.Total(), want)
+			}
+		}
+
+		// Latency-histogram conservation, via the accessor and over the wire.
+		r.check.check(int64(r.srv.LatencyObservations()) == latObserved,
+			"latency histogram holds %d observations, %d query/reconstruct requests answered",
+			r.srv.LatencyObservations(), latObserved)
+		var st statszWire
+		code, err := r.getJSON("/statsz", &st)
+		if r.check.check(err == nil && code == http.StatusOK, "statsz returned %d (%v)", code, err) {
+			r.check.check(int64(st.LatencyObservations) == latObserved,
+				"statsz latency_observations %d, want %d", st.LatencyObservations, latObserved)
+			r.check.check(int64(st.QueriesAnswered) == sum.Queries,
+				"statsz queries_answered %d, want %d", st.QueriesAnswered, sum.Queries)
+			// Budget-rejected batches are refused before any counter or
+			// latency observation, so the server-side tallies cover accepted
+			// ones only.
+			acceptedQ := sum.Ops.Query - rejQuery + finalBatches
+			r.check.check(int64(st.QueryBatches) == acceptedQ,
+				"statsz query_batches %d, want %d", st.QueryBatches, acceptedQ)
+			r.check.check(st.QueryErrors == 0, "statsz reports %d query errors", st.QueryErrors)
+			r.check.check(int64(st.Reconstructions) == sum.Subsets,
+				"statsz reconstructions %d, want %d", st.Reconstructions, sum.Subsets)
+			r.check.check(int64(st.ReconstructBatches) == sum.Ops.Reconstruct-rejRecon,
+				"statsz reconstruct_batches %d, want %d", st.ReconstructBatches, sum.Ops.Reconstruct-rejRecon)
+			r.check.check(int64(st.Inserts) == sum.RecordsInserted,
+				"statsz inserts %d, want %d", st.Inserts, sum.RecordsInserted)
+			r.check.check(int64(st.Refreshes) == sum.Ops.Refresh,
+				"statsz refreshes %d, want %d issued", st.Refreshes, sum.Ops.Refresh)
+			if r.sc.Mix.Insert > 0 && r.sc.Mix.Refresh == 0 {
+				// Every publication-pointer writer (append, compaction
+				// install, refresh) serializes on the stream mutex, so each
+				// insert appends exactly one delta generation: ingest_appends
+				// is a pure function of the operation tallies and joins the
+				// deterministic summary of scenarios without refreshes.
+				// Compactions stay advisory — a compaction that loses its
+				// install race to a concurrent append is discarded — so only a
+				// loose bound applies.
+				r.check.check(int64(st.IngestAppends) == sum.Ops.Insert,
+					"statsz ingest_appends %d, want one per insert batch (%d)", st.IngestAppends, sum.Ops.Insert)
+				sum.IngestAppends = int64(st.IngestAppends)
+				r.check.check(st.Compactions <= st.IngestAppends,
+					"statsz compactions %d exceeds ingest_appends %d", st.Compactions, st.IngestAppends)
+			}
+			r.check.check(int64(st.Audits+st.AuditCacheHits) == sum.Ops.Audit,
+				"statsz audits %d + cache hits %d, want %d issued", st.Audits, st.AuditCacheHits, sum.Ops.Audit)
+			if b := sum.Budget; b != nil {
+				r.check.check(st.Budget.Enforced, "statsz budget not enforced under a budget plan")
+				r.check.check(st.TotalCharged == sum.ChargedQueries,
+					"statsz total_charged %d, want %d accepted charges", st.TotalCharged, sum.ChargedQueries)
+				r.check.check(st.Clients == b.Identities && st.Budget.TrackedClients == b.Identities,
+					"statsz tracks %d/%d clients, want %d distinct identities",
+					st.Clients, st.Budget.TrackedClients, b.Identities)
+				accepted := (sum.Ops.Query - rejQuery) + (sum.Ops.Reconstruct - rejRecon)
+				r.check.check(int64(st.Budget.Charges) == accepted,
+					"statsz budget charges %d, want %d accepted batches", st.Budget.Charges, accepted)
+				r.check.check(int64(st.Budget.RejectedClientQuota) == b.RejectedClientQuota,
+					"statsz rejected_client_quota %d, mirrors tallied %d", st.Budget.RejectedClientQuota, b.RejectedClientQuota)
+				r.check.check(int64(st.Budget.RejectedDegraded) == b.RejectedDegraded,
+					"statsz rejected_degraded %d, mirrors tallied %d", st.Budget.RejectedDegraded, b.RejectedDegraded)
+				r.check.check(st.Budget.RejectedPubQuota == 0,
+					"statsz rejected_publication_quota %d with the publication quota disabled", st.Budget.RejectedPubQuota)
+				occ := float64(b.MaxIdentityCharged) / float64(r.quota)
+				r.check.check(math.Abs(st.Budget.Occupancy-occ) < 1e-12,
+					"statsz budget occupancy %g, want %g", st.Budget.Occupancy, occ)
+			}
 		}
 	}
 
@@ -893,6 +1069,7 @@ func (r *runner) finish(results []clientResult, wall time.Duration) (*Result, er
 		WallMS:   float64(wall.Microseconds()) / 1000,
 		Requests: sum.Ops.Query + sum.Ops.Insert + sum.Ops.Refresh + sum.Ops.Reconstruct + sum.Ops.Audit,
 		Ops:      opTimings(lats),
+		Fleet:    fleetTiming,
 	}
 	if s := wall.Seconds(); s > 0 {
 		timing.RequestsPerSec = float64(timing.Requests) / s
@@ -935,7 +1112,7 @@ func (r *runner) finishBudget(results []clientResult) *BudgetSummary {
 		if charged > bs.MaxIdentityCharged {
 			bs.MaxIdentityCharged = charged
 		}
-		got := r.srv.ClientExposure(id)
+		got := r.exposure(id)
 		r.check.check(got == charged,
 			"identity %s final exposure: server ledger %d, accepted charges %d — rejected ops must never charge",
 			id, got, charged)
@@ -968,46 +1145,46 @@ func (r *runner) finishBudget(results []clientResult) *BudgetSummary {
 
 // --- HTTP plumbing ---
 
-// timedPost posts a JSON body and records the request's wall latency under
-// the op name.
-func (r *runner) timedPost(op string, res *clientResult, path string, body, out any) (int, error) {
+// post is the one HTTP POST: it sends the operation's idempotency key
+// (the router answers a retried key from its replay cache; one server
+// ignores the header) and, for a named op, records the request's wall
+// latency under it. It returns the status, the Retry-After header and the
+// raw body — everything the operations and the budget rejection path
+// assert on.
+func (r *runner) post(op string, res *clientResult, path, ctype, idem string, payload []byte) (int, string, []byte, error) {
+	req, err := http.NewRequest(http.MethodPost, r.base+path, bytes.NewReader(payload))
+	if err != nil {
+		return 0, "", nil, err
+	}
+	req.Header.Set("Content-Type", ctype)
+	if idem != "" {
+		req.Header.Set("X-Idempotency-Key", idem)
+	}
 	start := time.Now()
-	code, err := r.postJSON(path, body, out)
-	res.lats[op] = append(res.lats[op], time.Since(start))
-	return code, err
-}
-
-// timedFull posts a raw payload and records the request's wall latency
-// under the op name, returning status, Retry-After header, and raw body —
-// everything the budget rejection path asserts on.
-func (r *runner) timedFull(op string, res *clientResult, path, ctype string, payload []byte) (int, string, []byte, error) {
-	start := time.Now()
-	code, retryAfter, body, err := r.postFull(path, ctype, payload)
-	res.lats[op] = append(res.lats[op], time.Since(start))
-	return code, retryAfter, body, err
-}
-
-// postFull is the one HTTP POST primitive: every other helper wraps it.
-func (r *runner) postFull(path, ctype string, payload []byte) (int, string, []byte, error) {
-	resp, err := r.hc.Post(r.base+path, ctype, bytes.NewReader(payload))
+	resp, err := r.hc.Do(req)
 	if err != nil {
 		return 0, "", nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
+	if op != "" {
+		res.lats[op] = append(res.lats[op], time.Since(start))
+	}
 	return resp.StatusCode, resp.Header.Get("Retry-After"), body, err
 }
 
-func (r *runner) postJSON(path string, body, out any) (int, error) {
-	buf, err := json.Marshal(body)
+// postJSON posts a JSON body through post and decodes the response into
+// out.
+func (r *runner) postJSON(op string, res *clientResult, path, idem string, in, out any) (int, error) {
+	payload, err := json.Marshal(in)
 	if err != nil {
 		return 0, err
 	}
-	code, _, data, err := r.postFull(path, "application/json", buf)
-	if err != nil || out == nil {
+	code, _, body, err := r.post(op, res, path, "application/json", idem, payload)
+	if err != nil {
 		return code, err
 	}
-	return code, json.Unmarshal(data, out)
+	return code, json.Unmarshal(body, out)
 }
 
 func (r *runner) getJSON(path string, out any) (int, error) {
@@ -1016,16 +1193,9 @@ func (r *runner) getJSON(path string, out any) (int, error) {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	return resp.StatusCode, decodeBody(resp.Body, out)
-}
-
-func decodeBody(body io.Reader, out any) error {
-	data, err := io.ReadAll(body)
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return err
+		return resp.StatusCode, err
 	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
+	return resp.StatusCode, json.Unmarshal(body, out)
 }

@@ -110,6 +110,17 @@ func TestScenarioValidation(t *testing.T) {
 	if _, err := Run(Options{Scenario: sc, Seed: 1}); err == nil {
 		t.Error("budget scenario with ZipfS <= 1 should be rejected")
 	}
+	// The Bernstein envelope's raw groups come from the reference server,
+	// so it runs on a fleet too.
+	sc, _ = Lookup("adversary")
+	sc.Fleet = &FleetPlan{}
+	res, err := Run(Options{Scenario: sc, Seed: 1, Clients: 4, Steps: 6})
+	if err != nil {
+		t.Fatalf("Bernstein-checked scenario on a fleet: %v", err)
+	}
+	if v := res.Summary.Invariants.Violations; v != 0 {
+		t.Errorf("Bernstein-checked scenario on a fleet: %d violations: %v", v, res.Summary.Invariants.Failures)
+	}
 }
 
 // TestBudgetScenarioRejects pins that the budget scenario at its default
@@ -222,30 +233,40 @@ func TestClientSeedsDistinct(t *testing.T) {
 // XOR-folded answers digest must come out identical — every count and
 // estimate served over the binary framing carried exactly the bits the
 // JSON encoding carries. Checked on the single-server and the routed
-// (fleet) topology.
+// (fleet) topology. It also pins that the target is transparent to
+// answers: steady-read through a default fleet draws the same workload as
+// on one server, and the router must hand back the same answers.
 func TestMixedEncodingDigestMatchesJSON(t *testing.T) {
+	run := func(sc Scenario, forceJSON bool) string {
+		t.Helper()
+		res, err := Run(Options{Scenario: sc, Seed: 3, Clients: 3, Steps: 4, forceJSON: forceJSON})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := res.Summary.Invariants.Violations; v != 0 {
+			t.Fatalf("%s: %d invariant violations: %v", sc.Name, v, res.Summary.Invariants.Failures)
+		}
+		if res.Summary.AnswersDigest == "" {
+			t.Fatalf("%s: run produced no digest", sc.Name)
+		}
+		return res.Summary.AnswersDigest
+	}
 	for _, name := range []string{"steady-read", "fleet"} {
 		sc, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mixed, err := Run(Options{Scenario: sc, Seed: 3, Clients: 3, Steps: 4})
-		if err != nil {
-			t.Fatal(err)
+		if mixed, jsonOnly := run(sc, false), run(sc, true); mixed != jsonOnly {
+			t.Fatalf("%s: mixed-encoding digest %s differs from all-JSON digest %s", name, mixed, jsonOnly)
 		}
-		jsonOnly, err := Run(Options{Scenario: sc, Seed: 3, Clients: 3, Steps: 4, forceJSON: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := mixed.Summary.Invariants.Violations; v != 0 {
-			t.Fatalf("%s: %d invariant violations in mixed run: %v", name, v, mixed.Summary.Invariants.Failures)
-		}
-		if mixed.Summary.AnswersDigest == "" {
-			t.Fatalf("%s: mixed run produced no digest", name)
-		}
-		if mixed.Summary.AnswersDigest != jsonOnly.Summary.AnswersDigest {
-			t.Fatalf("%s: mixed-encoding digest %s differs from all-JSON digest %s",
-				name, mixed.Summary.AnswersDigest, jsonOnly.Summary.AnswersDigest)
-		}
+	}
+	sc, err := Lookup("steady-read")
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := run(sc, false)
+	sc.Fleet = &FleetPlan{}
+	if routed := run(sc, false); routed != one {
+		t.Fatalf("steady-read digest %s through a fleet, %s on one server", routed, one)
 	}
 }
