@@ -26,12 +26,17 @@
 //	        [-preload medical:5000,census:300000]
 //
 // -preload publishes each dataset[:size] across the fleet before serving,
-// so the first query never pays a build. The endpoint surface matches
-// rpserve — /query, /reconstruct, /audit, /publish, /refresh, /insert,
-// /publications, /healthz, /statsz — with two router additions: requests
-// may carry an X-Idempotency-Key header to make retries safe, and /statsz
-// reports router counters (failovers, ejections, shed load, checkpoints)
-// instead of per-replica internals. Inserts fan out to every live holder
+// so the first query never pays a build. The router serves /query,
+// /reconstruct, /audit, /publish, /refresh, /insert, /publications,
+// /healthz and /statsz. /query, /reconstruct, /audit and /insert relay a
+// holder's response in rpserve's shape (the router patches the ledger of
+// query and reconstruct responses). /publish, /refresh and /publications
+// answer with the router's placement view of each publication — id,
+// holders, generation, log_len, checkpointed — not rpserve's publication
+// view, so they carry no status, meta or error. Requests may carry an
+// X-Idempotency-Key header to make retries safe, and /statsz reports
+// router counters (failovers, ejections, shed load, checkpoints) instead
+// of per-replica internals. Inserts fan out to every live holder
 // and append to the publication's mutation log; when the log reaches
 // -checkpoint-log entries it is folded into a stored snapshot, so restart
 // replay cost stays bounded under sustained ingest. Replicas run with

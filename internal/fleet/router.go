@@ -21,9 +21,12 @@ const maxIdempotencyEntries = 4096
 
 // Handler returns the fleet's HTTP surface: the routed read endpoints
 // (/query, /reconstruct, /audit), the fan-out write endpoints (/publish,
-// /refresh, /insert), and fleet-level /healthz and /statsz. Bodies and
-// codes match the single-server serve surface, so clients move between one
-// server and a fleet without changes.
+// /refresh, /insert), and fleet-level /publications, /healthz and /statsz.
+// Request bodies match the single-server serve surface, and so do the
+// responses of the routed endpoints and /insert, so a client's queries move
+// between one server and a fleet without changes. /publish, /refresh and
+// /publications answer with the router's placement view (pubJSON), not
+// serve's publication view.
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", f.proxyHandler("/query"))

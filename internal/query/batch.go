@@ -9,11 +9,11 @@ import (
 
 // A Marginals is immutable once built: BuildMarginals and
 // BuildMarginalsFromGroups are the only writers, and every answering method
-// (Count, CountNA, Estimate, AnswerBatch) works on private copies of its
-// inputs. One Marginals can therefore be shared by any number of concurrent
-// readers without synchronization — the property the serving layer relies on
-// to answer query batches against a cached publication while other
-// publications build.
+// (Answer, Count, CountNA, Estimate, AnswerBatch) works on private copies of
+// its inputs. One Marginals can therefore be shared by any number of
+// concurrent readers without synchronization — the property the serving
+// layer relies on to answer query batches against a cached publication
+// while other publications build.
 
 // Answer is one query's result within a batch.
 type Answer struct {
@@ -53,25 +53,27 @@ func (mg *Marginals) AnswerBatchInto(dst []Answer, qs []Query, p float64, worker
 	}
 	if par.Clamp(len(qs), workers) == 1 {
 		for i := range qs {
-			dst[i] = mg.answerOne(qs[i], p)
+			dst[i] = mg.Answer(qs[i], p)
 		}
 		return dst
 	}
 	par.Striped(len(qs), workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			dst[i] = mg.answerOne(qs[i], p)
+			dst[i] = mg.Answer(qs[i], p)
 		}
 	})
 	return dst
 }
 
-// answerOne is the Section 6.1 kernel behind every answering method: one
+// Answer is the Section 6.1 kernel behind every answering method: one
 // locate yields the NA cell, whose count of the queried SA value is O* and
 // whose size-plane entry is |S*|, and the Lemma 2(ii) estimate follows.
 // Count, Estimate and the batch methods all return its fields, so they
 // agree bit for bit — including the p = 1 estimate, which is the count
-// itself rather than a float inversion of it.
-func (mg *Marginals) answerOne(q Query, p float64) Answer {
+// itself rather than a float inversion of it. It reads q.Conds without
+// keeping or modifying them and allocates only on an invalid query, so
+// the serving layer calls it once per query as it decodes each one.
+func (mg *Marginals) Answer(q Query, p float64) Answer {
 	k, err := mg.locate(q.Conds)
 	if err != nil {
 		return Answer{Err: err}

@@ -602,7 +602,7 @@ func (mg *Marginals) SubsetCountsInto(conds []Cond, dst []int) (int, error) {
 
 // Count answers the full query (NA conditions ∧ SA=sa).
 func (mg *Marginals) Count(q Query) (int, error) {
-	a := mg.answerOne(q, 1)
+	a := mg.Answer(q, 1)
 	return a.Count, a.Err
 }
 
@@ -622,6 +622,6 @@ func (mg *Marginals) CountNA(conds []Cond) (int, error) {
 // A query matching no published records estimates 0; at p = 1 the estimate
 // is the count itself. It is the Estimate of the batch answer, bit for bit.
 func (mg *Marginals) Estimate(q Query, p float64) (float64, error) {
-	a := mg.answerOne(q, p)
+	a := mg.Answer(q, p)
 	return a.Estimate, a.Err
 }

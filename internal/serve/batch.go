@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"github.com/reconpriv/reconpriv/internal/budget"
 	"github.com/reconpriv/reconpriv/internal/dataset"
@@ -23,14 +24,19 @@ import (
 // under Content-Type application/x-rp-binary — is confined to three steps:
 // decode (json.Unmarshal or the frame decoder, into pooled scratch),
 // resolve (Resolve/ResolveConds for labels; MapConds/MapSA, or a domain
-// check, for codes), and encode (the JSON response types or
-// wire.*Resp.Append). The bounded read, batch limits, publication lookup,
-// client identity, exposure charge, counters and latency run once per
-// endpoint whatever the encoding, and errors are always the JSON ErrorBody.
-// Resolution and evaluation share one par.Striped pass over QueryWorkers:
-// each stripe resolves its items, then answers its own sub-slice with one
-// worker. A steady-state binary batch allocates a handful of times, none
-// per answered item.
+// check, for codes), and encode (the JSON response types or the wire
+// encoders). The bounded read, batch limits, publication lookup, client
+// identity, exposure charge, counters and latency run once per endpoint
+// whatever the encoding, and errors are always the JSON ErrorBody. Each
+// endpoint fans out once, a par.Striped pass over QueryWorkers. A /query
+// stripe takes each of its queries from the request to its answer in one
+// step: a binary query is decoded from the validated frame into the
+// stripe's condition buffer, mapped, answered by the §6.1 kernel and
+// appended to the stripe's encoded answers, which follow the response head
+// in stripe order; a JSON query is resolved from its labels and answered
+// into its slot. A /reconstruct stripe resolves its subsets, then
+// reconstructs its own sub-slice with one worker. A steady-state binary
+// /query allocates a handful of times, none per query.
 
 // MaxBodyBytes bounds request bodies (a 100K-record insert of wide labels
 // fits comfortably); a longer body is rejected with 413 too_large.
@@ -42,44 +48,77 @@ type scratch struct {
 	out  []byte // encoded response frame
 	cbuf []byte // client id bytes for the response frame
 
-	// Decode targets. Frames decode into reused state; JSON requests are
-	// reset before each decode, because encoding/json fills reused slice
+	// Decode targets. Frames decode into reused state; the JSON targets
+	// are zeroed by putScratch, because encoding/json fills reused slice
 	// elements in place and would leak fields from an earlier request.
-	wq wire.QueryReq
+	qf wire.QueryFrame
 	wr wire.ReconstructReq
 	wi wire.InsertReq
 	jq queryRequest
 	jr reconstructRequest
 	ji insertRequest
 
+	// /query's working sets, one per fan-out stripe.
+	stripes []stripe
+
 	// Resolved items and their results, index-aligned with the batch.
-	qs      []query.Query
 	sets    [][]query.Cond
 	errs    []error
-	answers []query.Answer
 	recs    []reconstruct.Reconstruction
 	keys    [][]uint16 // insert keys in NAIndices order: views into karena
 	karena  []uint16
 	sas     []uint16
+	results []wire.RecResult // binary encode targets
+}
 
-	// Binary encode targets.
-	wans    []wire.Answer
-	results []wire.RecResult
+// stripe is one /query fan-out worker's working set.
+type stripe struct {
+	conds [wire.MaxConds]query.Cond // the frame query being answered, decoded
+	out   []byte                    // the stripe's encoded binary answers
+	nerr  uint64                    // queries the stripe answered with an error
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// maxPooledBody bounds the body buffer a pooled scratch keeps: one huge
-// request (a bulk insert, a checkpoint restore, a rejected over-limit
-// body) must not pin its buffer in the pool.
-const maxPooledBody = 4 << 20
+// maxPooledBytes bounds each buffer a pooled scratch keeps: one huge
+// request (a bulk insert, a checkpoint restore, a 100,000-query batch, a
+// rejected over-limit body) must not pin its buffers in the pool.
+const maxPooledBytes = 4 << 20
 
-// putScratch returns st to the pool.
+// putScratch returns st to the pool. It keeps each buffer whose backing
+// array is within maxPooledBytes, and drops the rest, the last request's
+// views into its body and per-item allocations, and the JSON decode
+// targets.
 func putScratch(st *scratch) {
-	if cap(st.body) > maxPooledBody {
-		st.body = nil
+	st.body, st.out, st.cbuf = bounded(st.body), bounded(st.out), bounded(st.cbuf)
+	st.qf.Release()
+	st.wr.Release()
+	st.wi.Release()
+	st.jq, st.jr, st.ji = queryRequest{}, reconstructRequest{}, insertRequest{}
+	for i := range st.stripes {
+		st.stripes[i].out = bounded(st.stripes[i].out)
 	}
+	st.stripes = bounded(st.stripes)
+	// Cleared and emptied, so the next request that does not use them
+	// clears nothing: their elements point at the last request's
+	// allocations, or into arenas bounded may drop.
+	clear(st.sets)
+	clear(st.errs)
+	clear(st.recs)
+	clear(st.keys)
+	clear(st.results)
+	st.sets, st.errs, st.recs, st.results = bounded(st.sets[:0]), bounded(st.errs[:0]), bounded(st.recs[:0]), bounded(st.results[:0])
+	st.keys, st.karena, st.sas = bounded(st.keys[:0]), bounded(st.karena), bounded(st.sas)
 	scratchPool.Put(st)
+}
+
+// bounded returns s, or nil when its backing array passes maxPooledBytes.
+func bounded[T any](s []T) []T {
+	var zero T
+	if uintptr(cap(s))*unsafe.Sizeof(zero) > maxPooledBytes {
+		return nil
+	}
+	return s
 }
 
 // grow returns s resized to n elements, reallocating only when its
@@ -237,7 +276,12 @@ type QueryResponse struct {
 	// cumulative total. Routing layers that keep their own authoritative
 	// ledger charge exactly this once per logical request, however many
 	// replica attempts it took.
-	Charged     int64  `json:"charged"`
+	Charged int64 `json:"charged"`
+	// ServeMicros is the server's time on the batch, from the start of the
+	// request to the end of the answering pass. A binary batch's answers
+	// are encoded inside that pass, so its serve_us covers their encoding;
+	// a JSON response is encoded after it is taken. Neither covers the
+	// write.
 	ServeMicros int64  `json:"serve_us"`
 	Client      string `json:"client"`
 	Ledger
@@ -254,10 +298,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var h batchHead
 	var err error
 	if bin {
-		err = st.wq.Decode(st.body)
-		h = batchHead{id: string(st.wq.ID), client: string(st.wq.Client), wait: st.wq.Wait, n: len(st.wq.Queries)}
+		err = st.qf.Parse(st.body)
+		h = batchHead{id: string(st.qf.ID), client: string(st.qf.Client), wait: st.qf.Wait, n: st.qf.Len()}
 	} else {
-		st.jq = queryRequest{}
 		err = json.Unmarshal(st.body, &st.jq)
 		h = batchHead{id: st.jq.ID, client: st.jq.Client, wait: st.jq.Wait, n: len(st.jq.Queries)}
 	}
@@ -277,46 +320,44 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	st.qs = grow(st.qs, h.n)
-	st.errs = grow(st.errs, h.n)
-	st.answers = grow(st.answers, h.n)
-	par.Striped(h.n, s.cfg.QueryWorkers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			st.qs[i], st.errs[i] = st.resolveQuery(pub, bin, i)
-		}
-		pub.Marg.AnswerBatchInto(st.answers[lo:hi:hi], st.qs[lo:hi:hi], pub.Req.P, 1)
-		for i := lo; i < hi; i++ {
-			if st.errs[i] != nil {
-				st.answers[i] = query.Answer{Err: st.errs[i]}
-			}
-		}
-	})
-
-	var errs uint64
 	var answers []QueryAnswer
-	if bin {
-		st.wans = st.wans[:0]
-		for i := range st.answers {
-			a := &st.answers[i]
+	if !bin {
+		answers = make([]QueryAnswer, h.n)
+	}
+	// Stripes the fan-out leaves idle keep nothing from an earlier request.
+	st.stripes = grow(st.stripes, par.Clamp(h.n, s.cfg.QueryWorkers))
+	for i := range st.stripes {
+		st.stripes[i].out, st.stripes[i].nerr = st.stripes[i].out[:0], 0
+	}
+	par.Striped(h.n, len(st.stripes), func(wk, lo, hi int) {
+		sp := &st.stripes[wk]
+		out, nerr := sp.out, uint64(0)
+		for i := lo; i < hi; i++ {
+			a := st.answerQuery(pub, bin, i, sp.conds[:])
+			if !bin {
+				answers[i] = QueryAnswer{Count: a.Count, Estimate: a.Estimate}
+				if a.Err != nil {
+					answers[i] = QueryAnswer{Error: a.Err.Error()}
+					nerr++
+				}
+				continue
+			}
 			wa := wire.Answer{Count: int64(a.Count), Estimate: a.Estimate}
 			if a.Err != nil {
 				wa = wire.Answer{Err: []byte(a.Err.Error())}
-				errs++
+				nerr++
 			}
-			st.wans = append(st.wans, wa)
+			out = wire.AppendAnswer(out, wa)
 		}
-	} else {
-		answers = make([]QueryAnswer, h.n)
-		for i := range st.answers {
-			a := &st.answers[i]
-			answers[i] = QueryAnswer{Count: a.Count, Estimate: a.Estimate}
-			if a.Err != nil {
-				answers[i] = QueryAnswer{Error: a.Err.Error()}
-				errs++
-			}
-		}
-	}
+		sp.out, sp.nerr = out, nerr
+	})
 
+	var errs uint64
+	answerBytes := 0
+	for i := range st.stripes {
+		errs += st.stripes[i].nerr
+		answerBytes += len(st.stripes[i].out)
+	}
 	s.queryBatches.Add(1)
 	s.queriesAnswered.Add(uint64(h.n))
 	s.queryErrors.Add(errs)
@@ -325,9 +366,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	led := LedgerOf(bres, s.cfg.ExposureWarn)
 	if bin {
 		st.cbuf = append(st.cbuf[:0], client...)
-		resp := wire.QueryResp{ID: st.wq.ID, Client: st.cbuf, Ledger: led.Wire(int64(h.n)),
-			ServeMicros: uint64(elapsed.Microseconds()), Answers: st.wans}
-		st.out = resp.Append(st.out[:0])
+		resp := wire.QueryResp{ID: st.qf.ID, Client: st.cbuf, Ledger: led.Wire(int64(h.n)),
+			ServeMicros: uint64(elapsed.Microseconds())}
+		st.out = resp.AppendHead(st.out[:0], h.n, answerBytes)
+		for i := range st.stripes {
+			st.out = append(st.out, st.stripes[i].out...)
+		}
 		writeFrame(w, st.out)
 		return
 	}
@@ -335,22 +379,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ServeMicros: elapsed.Microseconds(), Client: client, Ledger: led})
 }
 
-// resolveQuery is /query's resolve step for item i. Frames carry original
-// codes, rewritten in place into engine codes. A query that fails
-// resolution is evaluated as the zero query and answered with its
-// resolution error.
-func (st *scratch) resolveQuery(pub *Publication, bin bool, i int) (query.Query, error) {
-	if !bin {
-		return pub.Resolve(st.jq.Queries[i])
+// answerQuery is /query's per-item step. Query i is resolved — from its
+// labels through Resolve, or decoded from the frame into conds and mapped
+// in place through MapConds and MapSA — and answered by the §6.1 kernel.
+// A query that fails resolution is answered with its resolution error.
+func (st *scratch) answerQuery(pub *Publication, bin bool, i int, conds []query.Cond) query.Answer {
+	var q query.Query
+	var err error
+	if bin {
+		q.SA, q.Conds = st.qf.Query(i, conds)
+		if err = pub.MapConds(q.Conds); err == nil {
+			err = pub.MapSA(q.SA)
+		}
+	} else {
+		q, err = pub.Resolve(st.jq.Queries[i])
 	}
-	q := &st.wq.Queries[i]
-	if err := pub.MapConds(q.Conds); err != nil {
-		return query.Query{}, err
+	if err != nil {
+		return query.Answer{Err: err}
 	}
-	if err := pub.MapSA(q.SA); err != nil {
-		return query.Query{}, err
-	}
-	return query.Query{Conds: q.Conds, SA: q.SA}, nil
+	return pub.Marg.Answer(q, pub.Req.P)
 }
 
 // --- POST /reconstruct ---
@@ -417,7 +464,6 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		h = batchHead{id: string(st.wr.ID), client: string(st.wr.Client), wait: st.wr.Wait,
 			clamp: st.wr.Clamp, n: len(st.wr.Subsets)}
 	} else {
-		st.jr = reconstructRequest{}
 		err = json.Unmarshal(st.body, &st.jr)
 		h = batchHead{id: st.jr.ID, client: st.jr.Client, wait: st.jr.Wait, clamp: st.jr.Clamp, n: len(st.jr.Subsets)}
 	}
@@ -559,7 +605,6 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		err = st.wi.Decode(st.body)
 		h = batchHead{id: string(st.wi.ID), client: string(st.wi.Client), wait: st.wi.Wait, n: len(st.wi.Records)}
 	} else {
-		st.ji = insertRequest{}
 		err = json.Unmarshal(st.body, &st.ji)
 		h = batchHead{id: st.ji.ID, wait: st.ji.Wait, n: len(st.ji.Records)}
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/reconpriv/reconpriv/internal/query"
+	"github.com/reconpriv/reconpriv/internal/reconstruct"
 	"github.com/reconpriv/reconpriv/internal/wire"
 )
 
@@ -36,14 +37,24 @@ func postBinary(t *testing.T, url string, frame []byte) (int, []byte, string) {
 	return resp.StatusCode, body, resp.Header.Get("Content-Type")
 }
 
+// equivQuery is one query in both encodings.
+type equivQuery struct {
+	bin  wire.Query
+	json QueryJSON
+}
+
 // TestBinaryJSONEquivalence is the cross-encoding property test: seeded
 // random condition batches served over the binary framing must answer
 // bit-identically to the same batches served as JSON, and to the in-process
 // AnswerBatch reference, at every worker width. The medical publication is
 // generalized by chi-merge, so the test also covers the original-code →
-// generalized-code mapping the binary path performs.
+// generalized-code mapping the binary path performs. A last batch carries
+// every per-query failure kind on both sides of a stripe boundary: each
+// binary answer must carry the reference's count, estimate bits or error
+// text — the mapping error before the kernel's — and JSON must fail at the
+// same queries.
 func TestBinaryJSONEquivalence(t *testing.T) {
-	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+	for _, workers := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
 		s, ts := startServer(t, Config{QueryWorkers: workers, PipelineWorkers: workers})
 		e, _, err := s.Publish(medicalRequest(), true)
 		if err != nil {
@@ -54,36 +65,87 @@ func TestBinaryJSONEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		schema := pub.Orig // Gender(2) × Job(5) × Disease(10, SA)
+		sa := schema.SAAttr()
+		label := func(a int, v uint16) CondJSON {
+			return CondJSON{Attr: schema.Attrs[a].Name, Value: schema.Attrs[a].Label(v)}
+		}
 
 		rng := rand.New(rand.NewSource(int64(workers)))
-		for batch := 0; batch < 5; batch++ {
-			n := 1 + rng.Intn(40)
+		healthy := func() equivQuery {
+			var q equivQuery
+			for a := 0; a < schema.NumAttrs(); a++ {
+				// Always keep the last NA: the engine requires at least
+				// one condition, so the empty set is not in the space.
+				if a == schema.SA || (len(q.bin.Conds) > 0 || a < schema.NumAttrs()-2) && rng.Intn(2) == 0 {
+					continue
+				}
+				v := uint16(rng.Intn(schema.Attrs[a].Domain()))
+				q.bin.Conds = append(q.bin.Conds, wire.Cond{Attr: a, Value: v})
+				q.json.Conds = append(q.json.Conds, label(a, v))
+			}
+			q.bin.SA = uint16(rng.Intn(schema.SADomain()))
+			q.json.SA = sa.Label(q.bin.SA)
+			return q
+		}
+		// failing holds one query of every per-query failure kind; each
+		// JSON twin fails in its own encoding's terms.
+		var failing []equivQuery
+		add := func(sa uint16, conds []wire.Cond, jconds []CondJSON, jsa string) {
+			failing = append(failing, equivQuery{wire.Query{SA: sa, Conds: conds}, QueryJSON{Conds: jconds, SA: jsa}})
+		}
+		flu := sa.Label(0)
+		add(0, []wire.Cond{{Attr: 9, Value: 0}}, []CondJSON{{Attr: "NoSuchAttr", Value: "x"}}, flu)
+		add(0, []wire.Cond{{Attr: schema.SA, Value: 0}}, []CondJSON{label(schema.SA, 0)}, flu)
+		add(0, []wire.Cond{{Attr: 1, Value: 500}}, []CondJSON{{Attr: "Job", Value: "NoSuchJob"}}, flu)
+		add(60000, []wire.Cond{{Attr: 1, Value: 0}}, []CondJSON{label(1, 0)}, "NoSuchDisease")
+		var nine, wide []wire.Cond
+		var jnine, jwide []CondJSON
+		for i := 0; i < wire.MaxConds; i++ {
+			c := wire.Cond{Attr: i % 2, Value: 0}
+			if i < 9 {
+				nine, jnine = append(nine, c), append(jnine, label(c.Attr, 0))
+			}
+			if i == wire.MaxConds-1 {
+				wide, jwide = append(wide, wire.Cond{Attr: 9, Value: 0}), append(jwide, CondJSON{Attr: "NoSuchAttr", Value: "x"})
+				break
+			}
+			wide, jwide = append(wide, c), append(jwide, label(c.Attr, 0))
+		}
+		add(0, nine, jnine, flu)
+		add(0, []wire.Cond{{Attr: 1, Value: 0}, {Attr: 1, Value: 1}}, []CondJSON{label(1, 0), label(1, 1)}, flu)
+		add(0, wide, jwide, flu)
+
+		for batch := 0; batch < 6; batch++ {
+			var qs []equivQuery
+			if batch < 5 {
+				for n := 1 + rng.Intn(40); len(qs) < n; {
+					qs = append(qs, healthy())
+				}
+			} else {
+				// 16 queries a stripe: the failure kinds end at the first
+				// stripe boundary and start again right after it.
+				stripes := max(workers, 2)
+				for len(qs) < 16*stripes {
+					qs = append(qs, healthy())
+				}
+				copy(qs[16-len(failing):], failing)
+				copy(qs[16:], failing)
+			}
+			n := len(qs)
 			breq := wire.QueryReq{ID: []byte(pub.ID), Client: []byte("bin-client")}
 			jreq := queryRequest{ID: pub.ID, Client: "json-client"}
 			inline := make([]query.Query, n)
-			for i := 0; i < n; i++ {
-				var conds []wire.Cond
-				var jconds []CondJSON
-				for a := 0; a < schema.NumAttrs(); a++ {
-					// Always keep the last NA: the engine requires at least
-					// one condition, so the empty set is not in the space.
-					if a == schema.SA || (len(conds) > 0 || a < schema.NumAttrs()-2) && rng.Intn(2) == 0 {
-						continue
-					}
-					v := uint16(rng.Intn(schema.Attrs[a].Domain()))
-					conds = append(conds, wire.Cond{Attr: a, Value: v})
-					jconds = append(jconds, CondJSON{Attr: schema.Attrs[a].Name, Value: schema.Attrs[a].Label(v)})
-				}
-				sa := uint16(rng.Intn(schema.SADomain()))
-				breq.Queries = append(breq.Queries, wire.Query{SA: sa, Conds: conds})
-				jreq.Queries = append(jreq.Queries, QueryJSON{Conds: jconds, SA: schema.SAAttr().Label(sa)})
+			mapErrs := make([]error, n)
+			for i, q := range qs {
+				breq.Queries = append(breq.Queries, q.bin)
+				jreq.Queries = append(jreq.Queries, q.json)
 				// In-process reference: map a private copy of the original
 				// codes exactly like the server does.
-				cc := append([]query.Cond(nil), conds...)
-				if err := pub.MapConds(cc); err != nil {
-					t.Fatalf("workers=%d: mapping reference conds: %v", workers, err)
+				cc := append([]query.Cond(nil), q.bin.Conds...)
+				if mapErrs[i] = pub.MapConds(cc); mapErrs[i] == nil {
+					mapErrs[i] = pub.MapSA(q.bin.SA)
 				}
-				inline[i] = query.Query{Conds: cc, SA: sa}
+				inline[i] = query.Query{Conds: cc, SA: q.bin.SA}
 			}
 
 			status, body, ct := postBinary(t, ts.URL+"/query", breq.Append(nil))
@@ -106,9 +168,20 @@ func TestBinaryJSONEquivalence(t *testing.T) {
 			}
 			for i := 0; i < n; i++ {
 				ba, ja, ra := bresp.Answers[i], jresp.Answers[i], ref[i]
-				if ba.Err != nil || ja.Error != "" || ra.Err != nil {
-					t.Fatalf("workers=%d batch=%d query %d errored: bin=%q json=%q ref=%v",
-						workers, batch, i, ba.Err, ja.Error, ra.Err)
+				wantErr := mapErrs[i]
+				if wantErr == nil {
+					wantErr = ra.Err
+				}
+				if batch == 5 && wantErr != nil {
+					if string(ba.Err) != wantErr.Error() || ja.Error == "" {
+						t.Fatalf("workers=%d query %d: bin error %q, json error %q, want %q",
+							workers, i, ba.Err, ja.Error, wantErr)
+					}
+					continue
+				}
+				if ba.Err != nil || ja.Error != "" || ra.Err != nil || mapErrs[i] != nil {
+					t.Fatalf("workers=%d batch=%d query %d errored: bin=%q json=%q ref=%v map=%v",
+						workers, batch, i, ba.Err, ja.Error, ra.Err, mapErrs[i])
 				}
 				if int(ba.Count) != ja.Count || int(ba.Count) != ra.Count {
 					t.Fatalf("workers=%d batch=%d query %d: counts bin=%d json=%d ref=%d",
@@ -383,7 +456,7 @@ func TestBinaryQueryHandlerAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		max     float64
-	}{{1, 4}, {2, 16}} {
+	}{{1, 4}, {2, 9}} {
 		s := New(Config{QueryWorkers: tc.workers, BudgetQuota: -1})
 		e, _, err := s.Publish(medicalRequest(), true)
 		if err != nil {
@@ -413,5 +486,46 @@ func TestBinaryQueryHandlerAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(200, run); got > tc.max {
 			t.Errorf("QueryWorkers %d: %v allocs per binary /query, want <= %v", tc.workers, got, tc.max)
 		}
+	}
+}
+
+// TestPutScratchBounds pins what the scratch pool keeps after a request:
+// each buffer within maxPooledBytes, and nothing else — not a buffer past
+// the bound, not the decoders' views into the body, not the per-item
+// results' allocations, not the JSON decode targets.
+func TestPutScratchBounds(t *testing.T) {
+	const huge = maxPooledBytes + 1
+	q := wire.QueryReq{ID: []byte("pub"), Queries: []wire.Query{{SA: 1, Conds: []wire.Cond{{Attr: 0, Value: 2}}}}}
+	rr := wire.ReconstructReq{ID: []byte("pub"), Subsets: [][]wire.Cond{{{Attr: 0, Value: 1}}}}
+	st := &scratch{
+		body:    append(make([]byte, 0, huge), q.Append(nil)...),
+		out:     make([]byte, 0, 1024),
+		stripes: []stripe{{out: make([]byte, 0, huge)}, {out: make([]byte, 0, 1024)}},
+		errs:    make([]error, huge/16+1),
+		recs:    []reconstruct.Reconstruction{{Size: 3, Freqs: []float64{0.5, 0.5}}},
+		karena:  make([]uint16, 0, 64),
+		jq:      queryRequest{ID: "pub", Queries: make([]QueryJSON, 3)},
+	}
+	if err := st.qf.Parse(st.body); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.wr.Decode(rr.Append(nil)); err != nil {
+		t.Fatal(err)
+	}
+	putScratch(st)
+
+	if st.body != nil || st.stripes[0].out != nil || st.errs != nil {
+		t.Errorf("buffers past %d bytes kept: body %d, stripe out %d, errs %d",
+			maxPooledBytes, cap(st.body), cap(st.stripes[0].out), cap(st.errs))
+	}
+	if cap(st.out) != 1024 || cap(st.stripes[1].out) != 1024 || cap(st.karena) != 64 || cap(st.wr.Subsets) == 0 {
+		t.Errorf("buffers within the bound dropped: out %d, stripe out %d, karena %d, subsets %d",
+			cap(st.out), cap(st.stripes[1].out), cap(st.karena), cap(st.wr.Subsets))
+	}
+	if st.qf.ID != nil || st.qf.Len() != 0 || st.wr.ID != nil {
+		t.Errorf("decoders keep views into the dropped body: %q, %d queries, %q", st.qf.ID, st.qf.Len(), st.wr.ID)
+	}
+	if rec := st.recs[:1][0]; len(st.recs) != 0 || rec.Freqs != nil || st.jq.ID != "" || st.jq.Queries != nil {
+		t.Errorf("the last request's results or JSON body kept: %d results, %+v, %+v", len(st.recs), rec, st.jq)
 	}
 }

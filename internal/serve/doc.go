@@ -19,10 +19,14 @@
 //     dataset loading and marginal rebuilds).
 //   - Queries arrive in batches and are answered from the cached marginal
 //     cubes by a bounded worker pool — O(1) per query, no table scan
-//     (query.Marginals.AnswerBatchInto). /query, /reconstruct and /insert
-//     each run one core whatever the body encoding (batch.go): JSON labels
-//     and binary wire codes differ only in how the body is decoded, how
-//     items resolve to engine codes, and how the response is encoded.
+//     (query.Marginals.Answer, once per query). /query, /reconstruct and
+//     /insert each run one core whatever the body encoding (batch.go): JSON
+//     labels and binary wire codes differ only in how the body is decoded,
+//     how items resolve to engine codes, and how the response is encoded.
+//     A binary /query batch is validated once (wire.QueryFrame) and then
+//     taken frame to frame: each worker decodes, maps, answers and encodes
+//     its own queries, and the response is the ledger followed by the
+//     workers' encoded answers.
 //   - Streamed records are absorbed into a served publication through
 //     core.Incremental without republishing: each insert batch appends a
 //     small delta generation to the marginal index (ingest.go), and a

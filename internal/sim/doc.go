@@ -7,9 +7,10 @@
 // A scenario picks its target. Without a FleetPlan it is one in-process
 // serve.Server (what rpserve runs); with one it is a fleet.Fleet of
 // replicas behind its router (what rpfleet runs), in-process or, with
-// CrossProcess, spawned child processes. Both serve the same HTTP surface,
-// so one client loop drives either: the same seed draws the same workload
-// against both, and a read-only scenario serves the same answers digest.
+// CrossProcess, spawned child processes. Both serve the same batch
+// endpoints, so one client loop drives either: the same seed draws the
+// same workload against both, and a read-only scenario serves the same
+// answers digest.
 // Workloads are drawn from an in-process reference server given the same
 // publish requests as the target.
 //

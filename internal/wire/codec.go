@@ -145,6 +145,11 @@ func (r *reader) bytes16() []byte {
 
 // --- POST /query request ---
 
+// MaxConds is the most conditions one query or subset can carry: its
+// nConds field is a u8. A condition buffer of this length holds any query
+// QueryFrame.Query decodes.
+const MaxConds = 255
+
 // Query is one count query inside a QueryReq: conjunctive conditions plus
 // one sensitive value, all as original codes.
 type Query struct {
@@ -152,18 +157,114 @@ type Query struct {
 	Conds []Cond
 }
 
-// QueryReq is the binary body of POST /query. ID and Client are zero-copy
-// views into the decoded frame. The struct is reusable: Decode resets and
-// refills it without allocating once its backing slices have grown to the
-// workload's steady-state size.
+// QueryFrame is the in-place reader of a KindQueryReq frame: Parse
+// validates the whole frame in one pass and records where each query
+// starts, and Query decodes one query into caller storage, so a server can
+// decode every query where it answers it, in any order and from any
+// goroutine. ID and Client are zero-copy views into the frame, and the
+// frame must outlive the reader. The struct is reusable: Parse allocates
+// only when the batch outgrows the offsets a previous frame left.
+type QueryFrame struct {
+	ID     []byte
+	Client []byte
+	Wait   bool
+
+	p      []byte   // the payload
+	offs   []uint32 // offs[i]: payload offset of query i's sa field
+	nconds int      // conditions over all queries
+}
+
+// Parse validates frame as a KindQueryReq frame — the one place its
+// grammar is checked — and indexes its queries. On error the reader's
+// contents are undefined.
+func (f *QueryFrame) Parse(frame []byte) error {
+	p, err := payload(frame, KindQueryReq)
+	if err != nil {
+		return err
+	}
+	r := reader{b: p, ok: true}
+	f.ID = r.bytes8()
+	f.Client = r.bytes8()
+	flags := r.u8()
+	if flags&^byte(flagWait) != 0 {
+		return ErrFlags
+	}
+	f.Wait = flags&flagWait != 0
+	n := int(r.u32())
+	if !r.ok {
+		return ErrTruncated
+	}
+	// Each query is at least sa(2)+nConds(1) bytes: a declared count that
+	// cannot fit is rejected before any allocation sized from it.
+	if n > r.remaining()/3 {
+		return ErrCount
+	}
+	if cap(f.offs) < n {
+		f.offs = make([]uint32, n)
+	}
+	f.offs = f.offs[:n]
+	f.p, f.nconds = p, 0
+	off := r.off
+	for i := range f.offs {
+		// sa(2) nConds(1), then nConds conditions of 4 bytes.
+		if len(p)-off < 3 || int(p[off+2])*4 > len(p)-off-3 {
+			return ErrTruncated
+		}
+		nc := int(p[off+2])
+		f.offs[i] = uint32(off)
+		f.nconds += nc
+		off += 3 + nc*4
+	}
+	if off != len(p) {
+		return ErrTrailing
+	}
+	return nil
+}
+
+// Release readies the reader for a pool: it drops its views into the last
+// frame, so the frame's buffer can be freed, and its offsets when they
+// pass the bound PutBuffer applies.
+func (f *QueryFrame) Release() {
+	offs := f.offs[:0]
+	if oversized(offs) {
+		offs = nil
+	}
+	*f = QueryFrame{offs: offs}
+}
+
+// Len returns the number of queries in the parsed frame.
+func (f *QueryFrame) Len() int { return len(f.offs) }
+
+// Query decodes query i of the parsed frame: its sensitive value, and its
+// conditions written into dst, which must have room for them (MaxConds
+// always suffices). The returned conds is dst cut to the query's length
+// and capacity.
+func (f *QueryFrame) Query(i int, dst []Cond) (sa uint16, conds []Cond) {
+	b := f.p[f.offs[i]:]
+	sa = binary.LittleEndian.Uint16(b)
+	nc := int(b[2])
+	b = b[3 : 3+nc*4]
+	conds = dst[:nc:nc]
+	for j := range conds {
+		c := b[j*4 : j*4+4]
+		conds[j] = Cond{Attr: int(binary.LittleEndian.Uint16(c)), Value: binary.LittleEndian.Uint16(c[2:])}
+	}
+	return sa, conds
+}
+
+// QueryReq is the binary body of POST /query, materialized: every query
+// decoded, for clients and tests that want the whole batch as values. ID
+// and Client are zero-copy views into the decoded frame. The struct is
+// reusable: Decode resets and refills it without allocating once its
+// backing slices have grown to the workload's steady-state size.
 type QueryReq struct {
 	ID      []byte
 	Client  []byte
 	Wait    bool
 	Queries []Query
 
+	f     QueryFrame
 	conds []Cond // arena backing every query's Conds
-	spans []span
 }
 
 // Append encodes the request as one frame appended to dst.
@@ -189,59 +290,27 @@ func (m *QueryReq) Append(dst []byte) []byte {
 	return endFrame(dst, ps)
 }
 
-// Decode parses a full frame. On error the struct contents are undefined;
-// on success every byte-slice field aliases the frame.
+// Decode parses a full frame through QueryFrame and decodes every query
+// into one arena. On error the struct contents are undefined; on success
+// every byte-slice field aliases the frame, and each query's Conds is its
+// own view of the arena (mutable in place — a server may rewrite codes
+// through it).
 func (m *QueryReq) Decode(frame []byte) error {
-	p, err := payload(frame, KindQueryReq)
-	if err != nil {
+	f := &m.f
+	if err := f.Parse(frame); err != nil {
 		return err
 	}
-	r := reader{b: p, ok: true}
-	m.ID = r.bytes8()
-	m.Client = r.bytes8()
-	flags := r.u8()
-	if flags&^byte(flagWait) != 0 {
-		return ErrFlags
+	m.ID, m.Client, m.Wait = f.ID, f.Client, f.Wait
+	if cap(m.conds) < f.nconds {
+		m.conds = make([]Cond, f.nconds)
 	}
-	m.Wait = flags&flagWait != 0
-	n := int(r.u32())
-	if !r.ok {
-		return ErrTruncated
-	}
-	// Each query is at least sa(2)+nConds(1) bytes: a declared count that
-	// cannot fit is rejected before any allocation sized from it.
-	if n > r.remaining()/3 {
-		return ErrCount
-	}
+	m.conds = m.conds[:f.nconds]
 	m.Queries = m.Queries[:0]
-	m.conds = m.conds[:0]
-	m.spans = m.spans[:0]
-	for i := 0; i < n; i++ {
-		sa := r.u16()
-		nc := int(r.u8())
-		if !r.ok || nc*4 > r.remaining() {
-			return ErrTruncated
-		}
-		off := len(m.conds)
-		for j := 0; j < nc; j++ {
-			a := r.u16()
-			v := r.u16()
-			m.conds = append(m.conds, Cond{Attr: int(a), Value: v})
-		}
-		m.Queries = append(m.Queries, Query{SA: sa})
-		m.spans = append(m.spans, span{off, nc})
-	}
-	if !r.ok {
-		return ErrTruncated
-	}
-	if r.remaining() != 0 {
-		return ErrTrailing
-	}
-	// Views are cut only now: the arena has stopped growing, so they stay
-	// valid (and mutable in place — the server rewrites codes through them).
-	for i := range m.Queries {
-		sp := m.spans[i]
-		m.Queries[i].Conds = m.conds[sp.off : sp.off+sp.n : sp.off+sp.n]
+	rest := m.conds
+	for i := 0; i < f.Len(); i++ {
+		sa, conds := f.Query(i, rest)
+		rest = rest[len(conds):]
+		m.Queries = append(m.Queries, Query{SA: sa, Conds: conds})
 	}
 	return nil
 }
@@ -317,21 +386,37 @@ func (r *reader) ledger(m *Ledger) (id, client []byte, serveMicros uint64, err e
 
 // Append encodes the response as one frame appended to dst.
 func (m *QueryResp) Append(dst []byte) []byte {
+	start := len(dst)
+	dst = m.AppendHead(dst, len(m.Answers), 0)
+	for i := range m.Answers {
+		dst = AppendAnswer(dst, m.Answers[i])
+	}
+	return endFrame(dst, start+HeaderSize)
+}
+
+// AppendHead appends everything of the response frame before its answers
+// — the header, the ledger and the answer count n — leaving Answers
+// unread. It is for a server that encodes its answers as it computes them:
+// the n answers that follow, appended by AppendAnswer, take answerBytes
+// bytes in all, which the header's payload length counts.
+func (m *QueryResp) AppendHead(dst []byte, n, answerBytes int) []byte {
 	dst, ps := beginFrame(dst, KindQueryResp)
 	dst = appendLedger(dst, m.ID, m.Client, m.Ledger, m.ServeMicros)
-	dst = appendU32(dst, uint32(len(m.Answers)))
-	for i := range m.Answers {
-		a := &m.Answers[i]
-		if a.Err != nil {
-			dst = append(dst, 1)
-			dst = appendBytes16(dst, a.Err)
-			continue
-		}
-		dst = append(dst, 0)
-		dst = appendU64(dst, uint64(a.Count))
-		dst = appendF64(dst, a.Estimate)
+	dst = appendU32(dst, uint32(n))
+	binary.LittleEndian.PutUint32(dst[ps-4:ps], uint32(len(dst)-ps+answerBytes))
+	return dst
+}
+
+// AppendAnswer appends one encoded answer: the error message when a.Err
+// is non-nil, otherwise the count and estimate.
+func AppendAnswer(dst []byte, a Answer) []byte {
+	if a.Err != nil {
+		dst = append(dst, 1)
+		return appendBytes16(dst, a.Err)
 	}
-	return endFrame(dst, ps)
+	dst = append(dst, 0)
+	dst = appendU64(dst, uint64(a.Count))
+	return appendF64(dst, a.Estimate)
 }
 
 // Decode parses a full frame; byte-slice fields alias it.
@@ -416,6 +501,17 @@ func (m *ReconstructReq) Append(dst []byte) []byte {
 		}
 	}
 	return endFrame(dst, ps)
+}
+
+// Release readies the request for a pool: it drops its views into the
+// last frame, so the frame's buffer can be freed, and all of its arenas
+// when any passes the bound PutBuffer applies.
+func (m *ReconstructReq) Release() {
+	if oversized(m.Subsets) || oversized(m.conds) || oversized(m.spans) {
+		*m = ReconstructReq{}
+		return
+	}
+	*m = ReconstructReq{Subsets: m.Subsets[:0], conds: m.conds[:0], spans: m.spans[:0]}
 }
 
 // Decode parses a full frame; byte-slice fields alias it.

@@ -59,6 +59,17 @@ func (m *InsertReq) Append(dst []byte) []byte {
 	return endFrame(dst, ps)
 }
 
+// Release readies the request for a pool: it drops its views into the
+// last frame, so the frame's buffer can be freed, and both of its arenas
+// when either passes the bound PutBuffer applies.
+func (m *InsertReq) Release() {
+	if oversized(m.Records) || oversized(m.codes) {
+		*m = InsertReq{}
+		return
+	}
+	*m = InsertReq{Records: m.Records[:0], codes: m.codes[:0]}
+}
+
 // Decode parses a full frame. On error the struct contents are undefined;
 // on success ID and Client alias the frame.
 func (m *InsertReq) Decode(frame []byte) error {

@@ -44,13 +44,19 @@
 // reusable structs whose backing slices persist across calls, byte-string
 // fields are zero-copy views into the frame, and encoders append into a
 // caller-owned buffer. Decoded requests therefore alias the frame buffer
-// — the buffer must outlive the decoded struct.
+// — the buffer must outlive the decoded struct. A query request has an
+// in-place reader besides its decoder: QueryFrame validates the frame in
+// one pass and decodes any one query on demand, so a server can decode
+// each query where it answers it and append each answer with AppendAnswer
+// behind QueryResp.AppendHead; QueryReq.Decode is the same pass plus
+// materialization of every query.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"sync"
+	"unsafe"
 )
 
 // ContentType is the negotiation token: requests carrying it are decoded
@@ -179,4 +185,11 @@ func PutBuffer(b *[]byte) {
 	}
 	*b = (*b)[:0]
 	bufPool.Put(b)
+}
+
+// oversized reports whether s's backing array passes the bound PutBuffer
+// applies, the one the decoders' Release methods apply to their arenas.
+func oversized[T any](s []T) bool {
+	var zero T
+	return uintptr(cap(s))*unsafe.Sizeof(zero) > maxPooledBuffer
 }

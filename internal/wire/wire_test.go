@@ -496,3 +496,43 @@ func TestIsFrameAndKind(t *testing.T) {
 		t.Fatalf("FrameKind = %d, %v", k, err)
 	}
 }
+
+// TestRelease pins what a pooled decoder keeps after Release: no view
+// into the last frame, and its arenas while they are within the bound
+// PutBuffer applies, but not past it.
+func TestRelease(t *testing.T) {
+	var f QueryFrame
+	var rr ReconstructReq
+	var ir InsertReq
+	decode := func(q *QueryReq, r *ReconstructReq, i *InsertReq) {
+		t.Helper()
+		for _, err := range []error{f.Parse(q.Append(nil)), rr.Decode(r.Append(nil)), ir.Decode(i.Append(nil))} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.Release()
+		rr.Release()
+		ir.Release()
+		if f.ID != nil || f.Client != nil || f.p != nil || f.Len() != 0 || rr.ID != nil || len(rr.Subsets) != 0 ||
+			ir.ID != nil || len(ir.Records) != 0 {
+			t.Fatalf("views into the last frame kept: %+v %+v %+v", f, rr, ir)
+		}
+	}
+
+	decode(goldenQueryReq(), goldenReconstructReq(), goldenInsertReq())
+	if cap(f.offs) == 0 || cap(rr.Subsets) == 0 || cap(rr.conds) == 0 || cap(rr.spans) == 0 ||
+		cap(ir.Records) == 0 || cap(ir.codes) == 0 {
+		t.Fatalf("arenas within the bound dropped: %+v %+v %+v", f, rr, ir)
+	}
+
+	// Frames with more items than the bound holds offsets, subset views
+	// or record views of.
+	q := &QueryReq{Queries: make([]Query, maxPooledBuffer/4+1)}
+	r := &ReconstructReq{Subsets: make([][]Cond, maxPooledBuffer/24+1)}
+	i := &InsertReq{NAttrs: 1, Records: make([][]uint16, maxPooledBuffer/24+1)}
+	decode(q, r, i)
+	if f.offs != nil || rr.Subsets != nil || rr.conds != nil || rr.spans != nil || ir.Records != nil || ir.codes != nil {
+		t.Fatalf("arenas past the bound kept: offsets %d, subsets %d, records %d", cap(f.offs), cap(rr.Subsets), cap(ir.Records))
+	}
+}
