@@ -43,8 +43,8 @@ func (mg *Marginals) AnswerBatch(qs []Query, p float64, workers int) []Answer {
 
 // AnswerBatchInto is AnswerBatch writing into a reusable answer slice:
 // dst is truncated and regrown to len(qs), reallocating only when its
-// capacity is short. The serving layer's pooled binary path passes its
-// scratch here; with one worker, a steady-state batch allocates nothing.
+// capacity is short. With one worker and a dst kept across batches, a
+// steady-state batch allocates nothing.
 func (mg *Marginals) AnswerBatchInto(dst []Answer, qs []Query, p float64, workers int) []Answer {
 	if cap(dst) < len(qs) {
 		dst = make([]Answer, len(qs))

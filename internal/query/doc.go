@@ -19,7 +19,8 @@
 // (BuildMarginals) or, far cheaper when |G| ≪ |D|, per published group set
 // (BuildMarginalsFromGroups); the result is immutable and safe to share
 // across any number of concurrent readers. AnswerBatch is the pooled batch
-// entry point the serving layer uses.
+// entry point; the serving layer calls the per-query kernel, Answer, from
+// its own fan-out.
 //
 // The *Parallel build variants distribute whole cubes — and, when workers
 // outnumber cubes, per-cube row shards with privately accumulated partial
